@@ -126,44 +126,51 @@ class Mlp:
         if x.shape[1] != self.dim:
             raise ValueError(f"expected state dimension {self.dim}, got {x.shape[1]}")
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim == 0:
-            t = np.full(x.shape[0], float(t))
-        if t.shape != (x.shape[0],):
+        if t.ndim != 0 and t.shape != (x.shape[0],):
             raise ValueError("time must be scalar or one value per row")
-        emb = self.time_embedding(t).astype(self.dtype)
-        return np.concatenate([x, emb], axis=1), squeeze
+        z = np.empty((x.shape[0], self.dim + self.time_embedding.width), dtype=self.dtype)
+        z[:, :self.dim] = x
+        # a scalar t is embedded once and its row broadcast down the batch
+        z[:, self.dim:] = self.time_embedding(t)
+        return z, squeeze
 
     def _skip_term(self, z):
         """s(t) x for network inputs z = [x, emb(t)]."""
         scale = self.skip[0] + z[:, self.dim:] @ self.skip[1:]
         return scale[:, None] * z[:, :self.dim]
 
-    def forward(self, x, t):
-        """Velocity prediction; deterministic for fixed parameters."""
-        z, squeeze = self._inputs(x, t)
-        h = z
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i != last:
-                h = np.tanh(h)
-        h = h + self._skip_term(z)
-        return h[0] if squeeze else h
+    def _pass(self, x, t, keep: bool):
+        """Output, plus the activation cache when ``keep``.
 
-    def forward_cached(self, x, t):
-        """Forward pass that keeps activations for a later backward call."""
+        Bias and tanh are applied in place on each fresh matmul result;
+        the cache needs the body output intact, so only a pass that keeps
+        no cache adds the skip term in place.
+        """
         z, squeeze = self._inputs(x, t)
         acts = [z]
         h = z
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
-                h = np.tanh(h)
-            acts.append(h)
-        h = h + self._skip_term(z)
-        cache = {"acts": acts, "squeeze": squeeze}
-        return (h[0] if squeeze else h), cache
+                np.tanh(h, out=h)
+            if keep:
+                acts.append(h)
+        if keep:
+            h = h + self._skip_term(z)
+        else:
+            h += self._skip_term(z)
+        out = h[0] if squeeze else h
+        return out, ({"acts": acts, "squeeze": squeeze} if keep else None)
+
+    def forward(self, x, t):
+        """Velocity prediction; deterministic for fixed parameters."""
+        return self._pass(x, t, keep=False)[0]
+
+    def forward_cached(self, x, t):
+        """Forward pass that keeps activations for a later backward call."""
+        return self._pass(x, t, keep=True)
 
     def backward(self, cache, grad_out) -> dict:
         """Parameter gradients given d(loss)/d(output).

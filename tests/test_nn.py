@@ -56,6 +56,39 @@ class TestForward:
         np.testing.assert_allclose(net.forward(x, 0.3), scale * x, rtol=1e-14)
         np.testing.assert_array_equal(net.forward_cached(x, 0.3)[0], net.forward(x, 0.3))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_row_t", [False, True])
+    def test_forward_equals_cached_and_mutates_nothing(self, dtype, per_row_t):
+        rng = np.random.default_rng(24)
+        net = Mlp.create(dim=5, hidden=(16, 12), rng=rng, n_time_pairs=3, dtype=dtype)
+        for b in net.biases:
+            b[:] = rng.uniform(-0.5, 0.5, b.shape)
+        net.skip[:] = rng.uniform(-0.5, 0.5, net.skip.shape)
+        x = rng.standard_normal((9, 5)).astype(dtype)
+        t = rng.uniform(0.0, 1.0, 9) if per_row_t else 0.3
+        x_before = x.copy()
+        params_before = {k: p.copy() for k, p in net.parameters().items()}
+
+        out, cache = net.forward_cached(x, t)
+        acts_before = [a.copy() for a in cache["acts"]]
+        again = net.forward(x, t)
+        assert again.dtype == dtype
+        np.testing.assert_array_equal(again, out)
+        np.testing.assert_array_equal(x, x_before)
+        for key, p in net.parameters().items():
+            np.testing.assert_array_equal(p, params_before[key])
+        for a, before in zip(cache["acts"], acts_before):
+            np.testing.assert_array_equal(a, before)
+        # the cache holds the body output, without the skip term
+        assert not np.array_equal(cache["acts"][-1], out)
+
+    def test_scalar_time_equals_repeated_per_row_time(self):
+        rng = np.random.default_rng(25)
+        net = Mlp.create(dim=4, hidden=(8,), rng=rng, dtype=np.float32)
+        net.skip[:] = rng.uniform(-0.5, 0.5, net.skip.shape)
+        x = rng.standard_normal((6, 4))
+        np.testing.assert_array_equal(net.forward(x, 0.7), net.forward(x, np.full(6, 0.7)))
+
     def test_forward_is_deterministic(self):
         net = Mlp.create(dim=4, hidden=(16, 16), rng=np.random.default_rng(3))
         x = np.random.default_rng(4).standard_normal((7, 4))
