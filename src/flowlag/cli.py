@@ -468,20 +468,10 @@ def _cmd_lag_sweep(args) -> int:
     return run_lag_sweep(config, Path(args.out))
 
 
-# Floor reports of this process, keyed by everything that determines them:
-# the checkpoint's bytes (which carry the train config, hence the path and
-# the reference dataset), the method, particle count, step budget and
-# recording times, and the seed.
-_FLOOR_REPORTS: dict = {}
-
-
 def run_lag_sweep(config: dict, out_dir: Path) -> int:
     """Cross product of step budgets and injection scales, with a
     high-step floor run; returns the overshoot exit code when no
-    s_start > 1 strictly improves the terminal distance.  The floor run
-    is reused by later sweeps in the same process that share its key."""
-    import hashlib
-
+    s_start > 1 strictly improves the terminal distance."""
     from .errors import CheckFailedError
     from .diagnostics import track_fld
     from .reporting import write_csv, write_manifest
@@ -509,13 +499,7 @@ def run_lag_sweep(config: dict, out_dir: Path) -> int:
                          interp=interp)
         return track_fld(traj, reference, reference_id=ref_id)
 
-    floor_key = (hashlib.sha256(Path(config["checkpoint"]).read_bytes()).hexdigest(),
-                 config["method"], config["particles"], config["floor_nfe"], checkpoints,
-                 config["seed"])
-    floor_report = _FLOOR_REPORTS.get(floor_key)
-    if floor_report is None:
-        floor_report = run_cell(config["floor_nfe"], ScaleSchedule("linear", 1.0, 1.0))
-        _FLOOR_REPORTS[floor_key] = floor_report
+    floor_report = run_cell(config["floor_nfe"], ScaleSchedule("linear", 1.0, 1.0))
     header = ["nfe", "label", "s_start", "s_end"] + [f"fld_at_{t:g}" for t in checkpoints]
     rows = [[config["floor_nfe"], "floor", 1.0, 1.0] + list(floor_report.values)]
     results = {}

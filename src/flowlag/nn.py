@@ -142,9 +142,7 @@ class Mlp:
     def _pass(self, x, t, keep: bool):
         """Output, plus the activation cache when ``keep``.
 
-        Bias and tanh are applied in place on each fresh matmul result;
-        the cache needs the body output intact, so only a pass that keeps
-        no cache adds the skip term in place.
+        Bias and tanh are applied in place on each fresh matmul result.
         """
         z, squeeze = self._inputs(x, t)
         acts = [z]
@@ -157,10 +155,7 @@ class Mlp:
                 np.tanh(h, out=h)
             if keep:
                 acts.append(h)
-        if keep:
-            h = h + self._skip_term(z)
-        else:
-            h += self._skip_term(z)
+        h = h + self._skip_term(z)
         out = h[0] if squeeze else h
         return out, ({"acts": acts, "squeeze": squeeze} if keep else None)
 

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 import flowlag
-from flowlag import cli, solver
 from flowlag.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_OVERSHOOT, main
-from flowlag.nn import load_checkpoint, save_checkpoint
 from flowlag.reporting import read_csv
 from flowlag.solver import load_trajectory
 
@@ -178,65 +176,6 @@ class TestLagSweep:
                        "--s-start", "1.0,1.1", "--require-lag-ratio", "1e9",
                        "--out", str(tmp_path / "s"))
         assert code == EXIT_CHECK
-
-
-class TestFloorReuse:
-    FLOOR_NFE = 40
-
-    @pytest.fixture
-    def floor_runs(self, monkeypatch):
-        """Fresh floor cache; records every floor integration."""
-        monkeypatch.setattr(cli, "_FLOOR_REPORTS", {})
-        runs = []
-        integrate = solver.integrate
-
-        def counting(field, spec, **kwargs):
-            if spec.nfe == self.FLOOR_NFE:
-                runs.append(spec)
-            return integrate(field, spec, **kwargs)
-
-        monkeypatch.setattr(solver, "integrate", counting)
-        return runs
-
-    def sweep(self, checkpoint, out, nfe=5, seed=2, particles=128):
-        code = run_cli("lag-sweep", "--checkpoint", str(checkpoint), "--nfe", str(nfe),
-                       "--s-start", "1.0,1.1", "--no-extra-rows",
-                       "--particles", str(particles), "--floor-nfe", str(self.FLOOR_NFE),
-                       "--seed", str(seed), "--out", str(out))
-        assert code in (EXIT_OK, EXIT_OVERSHOOT)
-        return next(line for line in (out / "lag_sweep.csv").read_bytes().splitlines()
-                    if b",floor," in line)
-
-    def test_floor_integrated_once_and_identical_after_clear(self, tiny_run, tmp_path,
-                                                            floor_runs):
-        ckpt = tiny_run.checkpoint_path
-        first = self.sweep(ckpt, tmp_path / "a", nfe=5)
-        second = self.sweep(ckpt, tmp_path / "b", nfe=10)
-        assert len(floor_runs) == 1
-        cli._FLOOR_REPORTS.clear()
-        fresh = self.sweep(ckpt, tmp_path / "c", nfe=5)
-        assert len(floor_runs) == 2
-        assert first == second == fresh
-
-    def test_changed_weights_seed_or_particles_miss(self, tiny_run, tmp_path, floor_runs):
-        ckpt = tmp_path / "checkpoint.npz"
-        ckpt.write_bytes(Path(tiny_run.checkpoint_path).read_bytes())
-        base = self.sweep(ckpt, tmp_path / "a")
-        assert len(floor_runs) == 1
-
-        ck = load_checkpoint(ckpt)
-        ck.net.weights[0][0, 0] += 0.5
-        save_checkpoint(ckpt, ck.net, ck.optimizer, step=ck.step, extra=ck.extra)
-        perturbed = self.sweep(ckpt, tmp_path / "b")
-        assert len(floor_runs) == 2
-        assert perturbed != base
-
-        self.sweep(ckpt, tmp_path / "c", seed=3)
-        assert len(floor_runs) == 3
-        self.sweep(ckpt, tmp_path / "d", particles=64)
-        assert len(floor_runs) == 4
-        self.sweep(ckpt, tmp_path / "e")
-        assert len(floor_runs) == 4
 
 
 class TestRunExperiment:
