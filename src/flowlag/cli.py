@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CheckFailedError, AssertionError) as exc:
+    except CheckFailedError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except Exception as exc:  # numerical faults, bad files, diverged runs

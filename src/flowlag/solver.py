@@ -133,31 +133,75 @@ class SolverSpec:
             raise ConfigError("t_min must lie in (0, 0.5)")
 
 
-def scaled_velocity(field, schedule: ScaleSchedule, x, t: float):
-    """gamma(t) * field(x, t), the literal per-call correction."""
+class _Workspace:
+    """Step temporaries, allocated on the first step and reused after that.
+
+    ``work(name, ufunc, a, b)`` is ``ufunc(a, b)`` written into the buffer
+    ``name``, or into ``a`` itself when name is None.  Each buffer takes
+    the shape and dtype the fresh expression would have, so both paths
+    round alike.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name, ufunc, a, b):
+        if name is None:
+            return ufunc(a, b, out=a)
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        dtype = np.result_type(a, b)
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(shape, dtype)
+        return ufunc(a, b, out=buf)
+
+
+def _fresh(name, ufunc, a, b):
+    """ufunc(a, b) as a new array: the step arithmetic without a workspace."""
+    return ufunc(a, b)
+
+
+def scaled_velocity(field, schedule: ScaleSchedule, x, t: float, *, work=None, name="v"):
+    """gamma(t) * field(x, t), the literal per-call correction.
+
+    When gamma(t) is exactly 1 this returns the field's own array, since
+    1.0 * v equals v bit for bit; callers must not write into it.  With a
+    workspace ``work`` the product goes to its buffer ``name``.
+    """
     v = np.asarray(field(x, t))
     if not np.all(np.isfinite(v)):
         raise NonFiniteVelocityError(
             f"velocity field returned non-finite values at t={t}", t=float(t),
             state_summary={"x_max_abs": float(np.max(np.abs(x))),
                            "n_bad": int(np.size(v) - np.count_nonzero(np.isfinite(v)))})
-    return float(schedule.gamma(t)) * v
+    gamma = float(schedule.gamma(t))
+    if gamma == 1.0:
+        return v
+    return (work or _fresh)(name, np.multiply, v, gamma)
 
 
-def euler_step(field, schedule: ScaleSchedule, x, t: float, dt: float):
-    """x + gamma(t) v(x, t) dt."""
-    return x + scaled_velocity(field, schedule, x, t) * dt
+def euler_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
+    """x + gamma(t) v(x, t) dt.
+
+    Returns a new array.  With a workspace ``work``, which ``integrate``
+    passes, x is updated in place and returned instead; the other steps
+    take ``work`` the same way.
+    """
+    op = work or _fresh
+    v = scaled_velocity(field, schedule, x, t, work=work)
+    return op(None, np.add, x, op("dv", np.multiply, v, dt))
 
 
-def heun_step(field, schedule: ScaleSchedule, x, t: float, dt: float):
+def heun_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
     """Two-stage predictor-corrector; each stage scaled at its own time."""
-    v1 = scaled_velocity(field, schedule, x, t)
-    x_pred = x + v1 * dt
-    v2 = scaled_velocity(field, schedule, x_pred, t + dt)
-    return x + 0.5 * dt * (v1 + v2)
+    op = work or _fresh
+    v1 = scaled_velocity(field, schedule, x, t, work=work)
+    x_pred = op("dx", np.add, x, op("dv", np.multiply, v1, dt))
+    v2 = scaled_velocity(field, schedule, x_pred, t + dt, work=work, name="v2")
+    return op(None, np.add, x, op("dv", np.multiply, op("dv", np.add, v1, v2), 0.5 * dt))
 
 
-def _score_from_velocity(interp: Interpolant, x, v, t: float, t_min: float):
+def _score_from_velocity(interp: Interpolant, x, v, t: float, t_min: float, op=_fresh):
     """Marginal score implied by a velocity field.
 
     Uses the linear relation between E[x0 | x_t] and the velocity; the
@@ -167,27 +211,77 @@ def _score_from_velocity(interp: Interpolant, x, v, t: float, t_min: float):
     tc = min(max(t, t_min), 1.0 - t_min)
     a, s, da, ds = (float(c) for c in interp.coefficients(tc))
     denom = s * (a * ds - da * s)
-    return (da * x - a * v) / denom
+    dax = op("dx", np.multiply, x, da)
+    return op("dx", np.divide, op("dx", np.subtract, dax, op("dv", np.multiply, v, a)), denom)
 
 
 def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt: float,
-            rng: np.random.Generator, diffusion: str = "sigma", t_min: float = 1e-3):
+            rng: np.random.Generator, diffusion: str = "sigma", t_min: float = 1e-3, *,
+            noise=None, work=None):
     """Euler-Maruyama step of the noise-augmented dynamics.
 
     The model velocity is scaled by gamma first; drift and score are then
     derived from the scaled field, and the diffusion weight is w_t =
     sigma_t (or zero, which reduces to the deterministic Euler update).
+    ``noise`` is the step's standard normal batch, left unchanged; when
+    None and w_t > 0 it is drawn from ``rng``.
     """
-    v = scaled_velocity(field, schedule, x, t)
-    if diffusion == "zero":
-        return x + v * dt
-    w = float(interp.sigma(t))
+    op = work or _fresh
+    v = scaled_velocity(field, schedule, x, t, work=work)
+    w = 0.0 if diffusion == "zero" else float(interp.sigma(t))
     if w == 0.0:
-        return x + v * dt
-    score = _score_from_velocity(interp, x, v, t, t_min)
-    drift = v + 0.5 * w * w * score
-    noise = rng.standard_normal(x.shape)
-    return x + drift * dt + w * math.sqrt(dt) * noise
+        return op(None, np.add, x, op("dv", np.multiply, v, dt))
+    score = _score_from_velocity(interp, x, v, t, t_min, op)
+    drift = op("dx", np.add, v, op("dx", np.multiply, score, 0.5 * w * w))
+    if noise is None:
+        noise = rng.standard_normal(x.shape)
+    x = op(None, np.add, x, op("dx", np.multiply, drift, dt))
+    return op(None, np.add, x, op("dx", np.multiply, noise, w * math.sqrt(dt)))
+
+
+class _NoiseAhead:
+    """Standard normal batches for the given steps, each drawn one step ahead.
+
+    One worker thread fills one of two buffers from ``rng`` while the
+    caller uses the other, so the batches are the draws that inline calls
+    at those steps would make, in the same order, and none after the last.
+    The worker calls only numpy.
+    """
+
+    def __init__(self, rng: np.random.Generator, shape, steps):
+        self._rng = rng
+        self._steps = steps
+        self._buffers = [np.empty(shape), np.empty(shape)] if steps else []
+        self._pool = None
+        if steps:
+            # imported here: the module costs every importer of the solver
+            # about 5 ms and 0.5 MB, and only noisy runs start a worker
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(max_workers=1)
+        self._next = 0           # index into steps of the batch being drawn
+        self._pending = None
+        self._draw()
+
+    def _draw(self):
+        if self._next < len(self._steps):
+            buf = self._buffers[self._next % 2]
+            self._pending = self._pool.submit(self._rng.standard_normal, out=buf)
+
+    def take(self, k: int):
+        """Step k's batch, or None when step k draws no noise."""
+        if self._next == len(self._steps) or self._steps[self._next] != k:
+            return None
+        batch = self._pending.result()
+        self._next += 1
+        self._draw()
+        return batch
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -218,6 +312,14 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     and diffusion weight; deterministic methods ignore it.  Initial
     particles default to standard normal noise drawn from a stream
     derived from ``seed``; pass ``x0`` to integrate a fixed batch.
+
+    The batch is updated in place, and step temporaries are reused from
+    step to step; the results equal those of the fresh-array steps bit for
+    bit.  The steps never write into an array the field returned, so the
+    field may return its input or an array it keeps, but it must not
+    change an array it returned earlier within the same step.
+    Euler-Maruyama noise is drawn one step ahead on a worker thread, from
+    the same stream and in the same order as inline draws.
     """
     if spec.method == "euler-maruyama" and interp is None:
         raise ConfigError("euler-maruyama integration requires the interpolant")
@@ -232,21 +334,28 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     # arange/nfe gives each node as the correctly rounded k/nfe (endpoint 1.0 exact)
     grid = np.arange(spec.nfe + 1, dtype=np.float64) / spec.nfe
     node_for = [int(round(c * spec.nfe)) for c in spec.checkpoints]
+    # the steps at which em_step draws noise: those with w_t = sigma_t > 0
+    noisy = []
+    if spec.method == "euler-maruyama" and spec.diffusion == "sigma":
+        noisy = [k for k in range(spec.nfe) if float(interp.sigma(float(grid[k]))) != 0.0]
+    work = _Workspace()
     recorded = {}
     if 0 in node_for:
         recorded[0] = x.copy()
-    for k in range(spec.nfe):
-        t, t_next = float(grid[k]), float(grid[k + 1])
-        dt = t_next - t
-        if spec.method == "euler":
-            x = euler_step(field, spec.schedule, x, t, dt)
-        elif spec.method == "heun":
-            x = heun_step(field, spec.schedule, x, t, dt)
-        else:
-            x = em_step(field, spec.schedule, interp, x, t, dt, noise_rng,
-                        diffusion=spec.diffusion, t_min=spec.t_min)
-        if k + 1 in node_for:
-            recorded[k + 1] = x.copy()
+    with _NoiseAhead(noise_rng, x.shape, noisy) as noise:
+        for k in range(spec.nfe):
+            t, t_next = float(grid[k]), float(grid[k + 1])
+            dt = t_next - t
+            if spec.method == "euler":
+                x = euler_step(field, spec.schedule, x, t, dt, work=work)
+            elif spec.method == "heun":
+                x = heun_step(field, spec.schedule, x, t, dt, work=work)
+            else:
+                x = em_step(field, spec.schedule, interp, x, t, dt, noise_rng,
+                            diffusion=spec.diffusion, t_min=spec.t_min,
+                            noise=noise.take(k), work=work)
+            if k + 1 in node_for:
+                recorded[k + 1] = x.copy()
     states = [recorded[j] for j in node_for]
     node_times = tuple(float(grid[j]) for j in node_for)
     return Trajectory(checkpoint_times=spec.checkpoints, node_times=node_times,

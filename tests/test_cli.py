@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import flowlag
-from flowlag.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_OVERSHOOT, main
+from flowlag import cli
+from flowlag.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_OVERSHOOT, EXIT_RUNTIME, main
+from flowlag.errors import CheckFailedError
 from flowlag.reporting import read_csv
 from flowlag.solver import load_trajectory
 
@@ -27,6 +29,17 @@ class TestScheduleCalibrate:
     def test_infeasible_area_is_runtime_error(self):
         code = run_cli("schedule-calibrate", "--shape", "linear", "--area", "-5.0")
         assert code == 4
+
+    @pytest.mark.parametrize("error,code", [(CheckFailedError, EXIT_CHECK),
+                                            (AssertionError, EXIT_RUNTIME)])
+    def test_only_failed_checks_exit_3(self, monkeypatch, capsys, error, code):
+        """A failed verification exits 3; an internal assertion is a fault, exit 4."""
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_schedule_calibrate", fail)
+        assert run_cli("schedule-calibrate", "--shape", "linear", "--area", "1.05") == code
+        assert "boom" in capsys.readouterr().err
 
 
 class TestOracleCommands:

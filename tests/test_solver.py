@@ -1,11 +1,16 @@
 """Schedule algebra, corrected steppers, convergence orders, trajectory IO."""
 
+import math
+import threading
+
 import numpy as np
 import pytest
 
 from flowlag.errors import ConfigError, NonFiniteVelocityError
 from flowlag.gaussian_oracle import GaussianFlowSpec, OracleField
 from flowlag.interpolant import LinearPath, make_interpolant
+from flowlag.nn import Mlp
+from flowlag.rng import rng_for
 from flowlag.solver import (
     IDENTITY_SCHEDULE,
     ScaleSchedule,
@@ -172,6 +177,31 @@ class TestSteps:
         b = em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.2, 0.1, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
+    def test_em_given_noise_equals_inline_draw(self):
+        field = OracleField(GaussianFlowSpec(dim=3), LINEAR)
+        x = np.random.default_rng(3).standard_normal((8, 3))
+        noise = np.random.default_rng(9).standard_normal(x.shape)
+        kept = noise.copy()
+        a = em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.2, 0.1, np.random.default_rng(9))
+        b = em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.2, 0.1, None, noise=noise)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(noise, kept)
+
+    @pytest.mark.parametrize("schedule", [IDENTITY_SCHEDULE, ScaleSchedule("linear", 1.1, 1.0)],
+                             ids=["identity", "linear"])
+    @pytest.mark.parametrize("field", [lambda x, t: x, OracleField(GaussianFlowSpec(dim=3), LINEAR)],
+                             ids=["returns-input", "oracle"])
+    def test_direct_steps_leave_state_unchanged(self, field, schedule):
+        x = np.random.default_rng(4).standard_normal((8, 3))
+        kept = x.copy()
+        for step in (lambda: euler_step(field, schedule, x, 0.2, 0.1),
+                     lambda: heun_step(field, schedule, x, 0.2, 0.1),
+                     lambda: em_step(field, schedule, LINEAR, x, 0.2, 0.1,
+                                     np.random.default_rng(1))):
+            out = step()
+            assert out is not x
+            np.testing.assert_array_equal(x, kept)
+
 
 class TestConvergenceOrder:
     """Euler is order 1, Heun order 2, on the exactly solvable oracle flow."""
@@ -271,6 +301,141 @@ class TestIntegrate:
             SolverSpec(checkpoints=(0.5, 1.5))
         with pytest.raises(ConfigError):
             SolverSpec(diffusion="full")
+
+
+def _reference_integrate(field, spec, x0, seed, interp):
+    """Every recorded state of the fresh-array integrator, expression for expression.
+
+    The steps allocate a new array for every operation, as the solver did
+    before it kept a workspace; ``integrate`` must match it bit for bit.
+    """
+    def scaled_velocity(x, t):
+        return float(spec.schedule.gamma(t)) * np.asarray(field(x, t))
+
+    x = np.array(x0, dtype=np.float64)
+    noise_rng = rng_for(seed, "particles:noise")
+    grid = np.arange(spec.nfe + 1, dtype=np.float64) / spec.nfe
+    states = [x.copy()]
+    for k in range(spec.nfe):
+        t, t_next = float(grid[k]), float(grid[k + 1])
+        dt = t_next - t
+        if spec.method == "euler":
+            x = x + scaled_velocity(x, t) * dt
+        elif spec.method == "heun":
+            v1 = scaled_velocity(x, t)
+            x_pred = x + v1 * dt
+            v2 = scaled_velocity(x_pred, t + dt)
+            x = x + 0.5 * dt * (v1 + v2)
+        else:
+            v = scaled_velocity(x, t)
+            w = 0.0 if spec.diffusion == "zero" else float(interp.sigma(t))
+            if w == 0.0:
+                x = x + v * dt
+            else:
+                tc = min(max(t, spec.t_min), 1.0 - spec.t_min)
+                a, s, da, ds = (float(c) for c in interp.coefficients(tc))
+                denom = s * (a * ds - da * s)
+                score = (da * x - a * v) / denom
+                drift = v + 0.5 * w * w * score
+                noise = noise_rng.standard_normal(x.shape)
+                x = x + drift * dt + w * math.sqrt(dt) * noise
+        states.append(x.copy())
+    return states
+
+
+METHODS = [("euler", "sigma"), ("heun", "sigma"), ("euler-maruyama", "sigma"),
+           ("euler-maruyama", "zero")]
+SCHEDULES = [IDENTITY_SCHEDULE, ScaleSchedule("linear", 1.1, 1.0)]
+
+
+def _float32_net(dim):
+    """A float32 Mlp with non-zero biases and skip."""
+    net = Mlp.create(dim, hidden=(16, 16), rng=np.random.default_rng(5), dtype=np.float32)
+    rng = np.random.default_rng(6)
+    for b in net.biases:
+        b[...] = 0.3 * rng.standard_normal(b.shape)
+    net.skip[...] = 0.3 * rng.standard_normal(net.skip.shape)
+    return net
+
+
+class TestInPlaceIntegration:
+    """The workspace and the drawn-ahead noise change no output bit."""
+
+    DIM, N, NFE, SEED = 6, 48, 12, 21
+
+    def _assert_matches_reference(self, field, method, diffusion, schedule, interp=LINEAR):
+        spec = SolverSpec(method=method, nfe=self.NFE, schedule=schedule, diffusion=diffusion,
+                          checkpoints=tuple(k / self.NFE for k in range(self.NFE + 1)))
+        x0 = np.random.default_rng(8).standard_normal((self.N, self.DIM))
+        traj = integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=self.SEED,
+                         interp=interp, x0=x0)
+        want = _reference_integrate(field, spec, x0, self.SEED, interp)
+        assert len(traj.states) == len(want)
+        for got, ref in zip(traj.states, want):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
+    @pytest.mark.parametrize("method,diffusion", METHODS)
+    @pytest.mark.parametrize("field_kind", ["oracle-float64", "mlp-float32"])
+    def test_bitwise_equal_to_fresh_array_steps(self, field_kind, method, diffusion, schedule):
+        if field_kind == "oracle-float64":
+            field = OracleField(GaussianFlowSpec(dim=self.DIM, data_std=2.0), LINEAR)
+        else:
+            field = _float32_net(self.DIM).forward
+        self._assert_matches_reference(field, method, diffusion, schedule)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
+    @pytest.mark.parametrize("method,diffusion", METHODS)
+    def test_field_may_return_its_input_or_a_kept_array(self, method, diffusion, schedule):
+        self._assert_matches_reference(lambda x, t: x, method, diffusion, schedule)
+        kept = np.random.default_rng(2).standard_normal((self.N, self.DIM))
+        original = kept.copy()
+        self._assert_matches_reference(lambda x, t: kept, method, diffusion, schedule)
+        np.testing.assert_array_equal(kept, original)
+
+    @pytest.mark.parametrize("method,diffusion,workers", [
+        ("euler-maruyama", "sigma", 1), ("euler-maruyama", "zero", 0), ("euler", "sigma", 0),
+        ("heun", "sigma", 0)])
+    def test_noise_worker_lifetime(self, method, diffusion, workers):
+        """One worker thread only for noisy Euler-Maruyama, joined on return."""
+        oracle = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
+        before = threading.active_count()
+        seen = []
+
+        def field(x, t):
+            seen.append(threading.active_count())
+            return oracle(x, t)
+
+        spec = SolverSpec(method=method, nfe=self.NFE, diffusion=diffusion)
+        integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=1, interp=LINEAR)
+        assert set(seen) == {before + workers}
+        assert threading.active_count() == before
+
+    def test_noise_worker_joined_when_a_step_raises(self):
+        oracle = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
+        calls = []
+
+        def field(x, t):
+            calls.append(t)
+            v = oracle(x, t)
+            return np.full_like(v, np.nan) if len(calls) == 4 else v
+
+        before = threading.active_count()
+        spec = SolverSpec(method="euler-maruyama", nfe=self.NFE)
+        with pytest.raises(NonFiniteVelocityError) as exc:
+            integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=1, interp=LINEAR)
+        assert exc.value.t == 3 / self.NFE
+        assert threading.active_count() == before
+
+    def test_steps_without_diffusion_draw_no_noise(self):
+        """Steps with sigma_t = 0 draw nothing, wherever they fall on the grid."""
+        class GappedPath(LinearPath):
+            def sigma(self, t):
+                return 0.0 if 0.25 <= float(t) < 0.5 else super().sigma(t)
+
+        field = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
+        for method, diffusion in METHODS[2:]:
+            self._assert_matches_reference(field, method, diffusion, SCHEDULES[1], interp=GappedPath())
 
 
 class TestTrajectoryContainer:
