@@ -251,16 +251,15 @@ class _NoiseAhead:
     def __init__(self, rng: np.random.Generator, shape, steps):
         self._rng = rng
         self._steps = steps
-        self._buffers = [np.empty(shape), np.empty(shape)] if steps else []
-        self._pool = None
+        self._next = 0           # index into steps of the batch being drawn
+        self._pool = self._pending = None
         if steps:
             # imported here: the module costs every importer of the solver
             # about 5 ms and 0.5 MB, and only noisy runs start a worker
             from concurrent.futures import ThreadPoolExecutor
+            self._buffers = (np.empty(shape), np.empty(shape))
             self._pool = ThreadPoolExecutor(max_workers=1)
-        self._next = 0           # index into steps of the batch being drawn
-        self._pending = None
-        self._draw()
+            self._draw()
 
     def _draw(self):
         if self._next < len(self._steps):
