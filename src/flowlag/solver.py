@@ -161,12 +161,15 @@ def _fresh(name, ufunc, a, b):
     return ufunc(a, b)
 
 
-def scaled_velocity(field, schedule: ScaleSchedule, x, t: float, *, work=None, name="v"):
+def scaled_velocity(field, schedule: ScaleSchedule, x, t: float, *, work=None, name="v",
+                    own=False):
     """gamma(t) * field(x, t), the literal per-call correction.
 
     When gamma(t) is exactly 1 this returns the field's own array, since
-    1.0 * v equals v bit for bit; callers must not write into it.  With a
-    workspace ``work`` the product goes to its buffer ``name``.
+    1.0 * v equals v bit for bit; callers must not write into it.  With
+    ``own`` the result is always a fresh array or a workspace buffer, for
+    a caller that keeps it across another field call.  With a workspace
+    ``work`` the product goes to its buffer ``name``.
     """
     v = np.asarray(field(x, t))
     if not np.all(np.isfinite(v)):
@@ -175,7 +178,7 @@ def scaled_velocity(field, schedule: ScaleSchedule, x, t: float, *, work=None, n
             state_summary={"x_max_abs": float(np.max(np.abs(x))),
                            "n_bad": int(np.size(v) - np.count_nonzero(np.isfinite(v)))})
     gamma = float(schedule.gamma(t))
-    if gamma == 1.0:
+    if gamma == 1.0 and not own:
         return v
     return (work or _fresh)(name, np.multiply, v, gamma)
 
@@ -193,9 +196,13 @@ def euler_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=N
 
 
 def heun_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
-    """Two-stage predictor-corrector; each stage scaled at its own time."""
+    """Two-stage predictor-corrector; each stage scaled at its own time.
+
+    v1 is kept across the second field call, which may reuse the array
+    the first call returned, so it is always the step's own copy.
+    """
     op = work or _fresh
-    v1 = scaled_velocity(field, schedule, x, t, work=work)
+    v1 = scaled_velocity(field, schedule, x, t, work=work, own=True)
     x_pred = op("dx", np.add, x, op("dv", np.multiply, v1, dt))
     v2 = scaled_velocity(field, schedule, x_pred, t + dt, work=work, name="v2")
     return op(None, np.add, x, op("dv", np.multiply, op("dv", np.add, v1, v2), 0.5 * dt))
@@ -217,14 +224,12 @@ def _score_from_velocity(interp: Interpolant, x, v, t: float, t_min: float, op=_
 
 def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt: float,
             rng: np.random.Generator, diffusion: str = "sigma", t_min: float = 1e-3, *,
-            noise=None, work=None):
+            work=None):
     """Euler-Maruyama step of the noise-augmented dynamics.
 
     The model velocity is scaled by gamma first; drift and score are then
     derived from the scaled field, and the diffusion weight is w_t =
     sigma_t (or zero, which reduces to the deterministic Euler update).
-    ``noise`` is the step's standard normal batch, left unchanged; when
-    None and w_t > 0 it is drawn from ``rng``.
     """
     op = work or _fresh
     v = scaled_velocity(field, schedule, x, t, work=work)
@@ -233,54 +238,9 @@ def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt
         return op(None, np.add, x, op("dv", np.multiply, v, dt))
     score = _score_from_velocity(interp, x, v, t, t_min, op)
     drift = op("dx", np.add, v, op("dx", np.multiply, score, 0.5 * w * w))
-    if noise is None:
-        noise = rng.standard_normal(x.shape)
+    noise = rng.standard_normal(x.shape)
     x = op(None, np.add, x, op("dx", np.multiply, drift, dt))
     return op(None, np.add, x, op("dx", np.multiply, noise, w * math.sqrt(dt)))
-
-
-class _NoiseAhead:
-    """Standard normal batches for the given steps, each drawn one step ahead.
-
-    One worker thread fills one of two buffers from ``rng`` while the
-    caller uses the other, so the batches are the draws that inline calls
-    at those steps would make, in the same order, and none after the last.
-    The worker calls only numpy.
-    """
-
-    def __init__(self, rng: np.random.Generator, shape, steps):
-        self._rng = rng
-        self._steps = steps
-        self._next = 0           # index into steps of the batch being drawn
-        self._pool = self._pending = None
-        if steps:
-            # imported here: the module costs every importer of the solver
-            # about 5 ms and 0.5 MB, and only noisy runs start a worker
-            from concurrent.futures import ThreadPoolExecutor
-            self._buffers = (np.empty(shape), np.empty(shape))
-            self._pool = ThreadPoolExecutor(max_workers=1)
-            self._draw()
-
-    def _draw(self):
-        if self._next < len(self._steps):
-            buf = self._buffers[self._next % 2]
-            self._pending = self._pool.submit(self._rng.standard_normal, out=buf)
-
-    def take(self, k: int):
-        """Step k's batch, or None when step k draws no noise."""
-        if self._next == len(self._steps) or self._steps[self._next] != k:
-            return None
-        batch = self._pending.result()
-        self._next += 1
-        self._draw()
-        return batch
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -315,10 +275,8 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     The batch is updated in place, and step temporaries are reused from
     step to step; the results equal those of the fresh-array steps bit for
     bit.  The steps never write into an array the field returned, so the
-    field may return its input or an array it keeps, but it must not
-    change an array it returned earlier within the same step.
-    Euler-Maruyama noise is drawn one step ahead on a worker thread, from
-    the same stream and in the same order as inline draws.
+    field may return its input, an array it keeps, or one output buffer it
+    reuses from call to call.
     """
     if spec.method == "euler-maruyama" and interp is None:
         raise ConfigError("euler-maruyama integration requires the interpolant")
@@ -333,28 +291,22 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     # arange/nfe gives each node as the correctly rounded k/nfe (endpoint 1.0 exact)
     grid = np.arange(spec.nfe + 1, dtype=np.float64) / spec.nfe
     node_for = [int(round(c * spec.nfe)) for c in spec.checkpoints]
-    # the steps at which em_step draws noise: those with w_t = sigma_t > 0
-    noisy = []
-    if spec.method == "euler-maruyama" and spec.diffusion == "sigma":
-        noisy = [k for k in range(spec.nfe) if float(interp.sigma(float(grid[k]))) != 0.0]
     work = _Workspace()
     recorded = {}
     if 0 in node_for:
         recorded[0] = x.copy()
-    with _NoiseAhead(noise_rng, x.shape, noisy) as noise:
-        for k in range(spec.nfe):
-            t, t_next = float(grid[k]), float(grid[k + 1])
-            dt = t_next - t
-            if spec.method == "euler":
-                x = euler_step(field, spec.schedule, x, t, dt, work=work)
-            elif spec.method == "heun":
-                x = heun_step(field, spec.schedule, x, t, dt, work=work)
-            else:
-                x = em_step(field, spec.schedule, interp, x, t, dt, noise_rng,
-                            diffusion=spec.diffusion, t_min=spec.t_min,
-                            noise=noise.take(k), work=work)
-            if k + 1 in node_for:
-                recorded[k + 1] = x.copy()
+    for k in range(spec.nfe):
+        t, t_next = float(grid[k]), float(grid[k + 1])
+        dt = t_next - t
+        if spec.method == "euler":
+            x = euler_step(field, spec.schedule, x, t, dt, work=work)
+        elif spec.method == "heun":
+            x = heun_step(field, spec.schedule, x, t, dt, work=work)
+        else:
+            x = em_step(field, spec.schedule, interp, x, t, dt, noise_rng,
+                        diffusion=spec.diffusion, t_min=spec.t_min, work=work)
+        if k + 1 in node_for:
+            recorded[k + 1] = x.copy()
     states = [recorded[j] for j in node_for]
     node_times = tuple(float(grid[j]) for j in node_for)
     return Trajectory(checkpoint_times=spec.checkpoints, node_times=node_times,

@@ -177,16 +177,6 @@ class TestSteps:
         b = em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.2, 0.1, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
-    def test_em_given_noise_equals_inline_draw(self):
-        field = OracleField(GaussianFlowSpec(dim=3), LINEAR)
-        x = np.random.default_rng(3).standard_normal((8, 3))
-        noise = np.random.default_rng(9).standard_normal(x.shape)
-        kept = noise.copy()
-        a = em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.2, 0.1, np.random.default_rng(9))
-        b = em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.2, 0.1, None, noise=noise)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(noise, kept)
-
     @pytest.mark.parametrize("schedule", [IDENTITY_SCHEDULE, ScaleSchedule("linear", 1.1, 1.0)],
                              ids=["identity", "linear"])
     @pytest.mark.parametrize("field", [lambda x, t: x, OracleField(GaussianFlowSpec(dim=3), LINEAR)],
@@ -359,7 +349,7 @@ def _float32_net(dim):
 
 
 class TestInPlaceIntegration:
-    """The workspace and the drawn-ahead noise change no output bit."""
+    """The workspace changes no output bit."""
 
     DIM, N, NFE, SEED = 6, 48, 12, 21
 
@@ -393,38 +383,39 @@ class TestInPlaceIntegration:
         self._assert_matches_reference(lambda x, t: kept, method, diffusion, schedule)
         np.testing.assert_array_equal(kept, original)
 
-    @pytest.mark.parametrize("method,diffusion,workers", [
-        ("euler-maruyama", "sigma", 1), ("euler-maruyama", "zero", 0), ("euler", "sigma", 0),
-        ("heun", "sigma", 0)])
-    def test_noise_worker_lifetime(self, method, diffusion, workers):
-        """One worker thread only for noisy Euler-Maruyama, joined on return."""
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
+    @pytest.mark.parametrize("method,diffusion", METHODS)
+    def test_field_may_reuse_its_output_buffer(self, method, diffusion, schedule):
+        """Heun keeps v1 across its second field call, so it keeps its own copy."""
+        oracle = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
+        out = np.empty((self.N, self.DIM))
+
+        def field(x, t):
+            out[...] = oracle(x, t)
+            return out
+
+        self._assert_matches_reference(field, method, diffusion, schedule)
+
+    @pytest.mark.parametrize("nan_at_call", [None, 4])
+    def test_integrate_starts_no_thread(self, nan_at_call):
+        """Euler-Maruyama draws inline: no thread is left running, also after a raise."""
         oracle = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
         before = threading.active_count()
         seen = []
 
         def field(x, t):
             seen.append(threading.active_count())
-            return oracle(x, t)
-
-        spec = SolverSpec(method=method, nfe=self.NFE, diffusion=diffusion)
-        integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=1, interp=LINEAR)
-        assert set(seen) == {before + workers}
-        assert threading.active_count() == before
-
-    def test_noise_worker_joined_when_a_step_raises(self):
-        oracle = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
-        calls = []
-
-        def field(x, t):
-            calls.append(t)
             v = oracle(x, t)
-            return np.full_like(v, np.nan) if len(calls) == 4 else v
+            return np.full_like(v, np.nan) if len(seen) == nan_at_call else v
 
-        before = threading.active_count()
         spec = SolverSpec(method="euler-maruyama", nfe=self.NFE)
-        with pytest.raises(NonFiniteVelocityError) as exc:
+        if nan_at_call is None:
             integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=1, interp=LINEAR)
-        assert exc.value.t == 3 / self.NFE
+        else:
+            with pytest.raises(NonFiniteVelocityError) as exc:
+                integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=1, interp=LINEAR)
+            assert exc.value.t == 3 / self.NFE
+        assert set(seen) == {before}
         assert threading.active_count() == before
 
     def test_steps_without_diffusion_draw_no_noise(self):
