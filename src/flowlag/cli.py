@@ -445,8 +445,7 @@ def _cmd_diagnose_lag(args) -> int:
     baseline = load_report(args.baseline)
     corrected = load_report(args.corrected)
     deltas = lag_improvement(baseline, corrected)
-    rows = [(t, d, 0.0) for t, d in zip(baseline.times, deltas)]
-    _emit(args.out, ("t", "value", "stderr"), rows)
+    _emit(args.out, ("t", "value"), list(zip(baseline.times, deltas)))
     _sidecar_manifest(args.out, "diagnose-lag",
                       {"baseline": str(args.baseline), "corrected": str(args.corrected)}, 0)
     return EXIT_OK

@@ -64,6 +64,11 @@ class Mlp:
     its last hidden layer saturates and the x-response switches off
     there instead of reversing.  The skip carries the part of the field
     that is linear in x, so the body only has to fit the residual.
+
+    ``forward`` writes its inputs, hidden activations and skip product
+    into private buffers kept per row count and dtype, so one net must
+    not run ``forward`` from two threads at once.  Its output is always
+    a fresh array, and ``forward_cached`` allocates everything fresh.
     """
 
     dim: int
@@ -73,6 +78,7 @@ class Mlp:
     time_embedding: TimeEmbedding
     skip: np.ndarray
     dtype: np.dtype = np.float64
+    _buffers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, dim: int, hidden=(256, 256, 256), rng: np.random.Generator | None = None,
@@ -116,10 +122,15 @@ class Mlp:
 
     # -- forward / backward ----------------------------------------------
 
-    def _inputs(self, x, t):
-        x = np.asarray(x, dtype=self.dtype)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("network input contains non-finite values")
+    def _buffer(self, name, shape):
+        """The kept buffer ``name``, reallocated when shape or dtype changes."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape or buf.dtype != self.dtype:
+            buf = self._buffers[name] = np.empty(shape, dtype=self.dtype)
+        return buf
+
+    def _inputs(self, x, t, keep: bool):
+        x = np.asarray(x)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
@@ -128,34 +139,43 @@ class Mlp:
         t = np.asarray(t, dtype=np.float64)
         if t.ndim != 0 and t.shape != (x.shape[0],):
             raise ValueError("time must be scalar or one value per row")
-        z = np.empty((x.shape[0], self.dim + self.time_embedding.width), dtype=self.dtype)
+        shape = (x.shape[0], self.dim + self.time_embedding.width)
+        z = np.empty(shape, dtype=self.dtype) if keep else self._buffer("z", shape)
         z[:, :self.dim] = x
+        # checked after the cast: a finite float64 can overflow a float32 net
+        if not np.all(np.isfinite(z[:, :self.dim])):
+            raise ValueError("network input contains non-finite values")
         # a scalar t is embedded once and its row broadcast down the batch
         z[:, self.dim:] = self.time_embedding(t)
         return z, squeeze
 
-    def _skip_term(self, z):
+    def _skip_term(self, z, out):
         """s(t) x for network inputs z = [x, emb(t)]."""
         scale = self.skip[0] + z[:, self.dim:] @ self.skip[1:]
-        return scale[:, None] * z[:, :self.dim]
+        return np.multiply(scale[:, None], z[:, :self.dim], out=out)
 
     def _pass(self, x, t, keep: bool):
         """Output, plus the activation cache when ``keep``.
 
-        Bias and tanh are applied in place on each fresh matmul result.
+        Bias and tanh are applied in place on each matmul result.  Without
+        ``keep`` the hidden layers alternate between two kept buffers; the
+        last matmul is always fresh and becomes the returned output.
         """
-        z, squeeze = self._inputs(x, t)
+        z, squeeze = self._inputs(x, t, keep)
         acts = [z]
         h = z
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
+            buf = None if keep or i == last else self._buffer(i % 2, (len(z), w.shape[1]))
+            h = np.matmul(h, w, out=buf)
             h += b
             if i != last:
                 np.tanh(h, out=h)
             if keep:
                 acts.append(h)
-        h = h + self._skip_term(z)
+        skip = self._skip_term(z, None if keep else self._buffer("skip", (len(z), self.dim)))
+        # the cache's last activation stays the body output
+        h = np.add(h, skip, out=None if keep else h)
         out = h[0] if squeeze else h
         return out, ({"acts": acts, "squeeze": squeeze} if keep else None)
 

@@ -158,7 +158,7 @@ class TestDiagnoseCommands:
         assert run_cli("diagnose", "lag", "--baseline", str(base_csv),
                        "--corrected", str(corr_csv), "--out", str(lag_csv)) == EXIT_OK
         header, rows = read_csv(lag_csv)
-        assert header == ["t", "value", "stderr"]
+        assert header == ["t", "value"]
         assert len(rows) == 5
         header, _ = read_csv(base_csv)
         assert header == ["t", "value", "split_half_floor"]

@@ -1,5 +1,7 @@
 """Network forward/backward correctness, optimizer behavior, checkpoint round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,57 @@ class TestForward:
         net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(6))
         with pytest.raises(ValueError):
             net.forward(np.array([np.nan, 0.0]), 0.5)
+
+    def test_input_that_overflows_the_net_dtype_is_rejected(self):
+        net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(6), dtype=np.float32)
+        x = np.array([[1e39, 0.0]])   # finite in float64, inf once cast to float32
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            net.forward(x, 0.5)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            net.forward_cached(x, 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_row_t", [False, True])
+    def test_reused_buffers_never_leak_into_outputs(self, dtype, per_row_t):
+        rng = np.random.default_rng(26)
+        net = Mlp.create(dim=6, hidden=(24, 16, 24), rng=rng, n_time_pairs=3, dtype=dtype)
+        for b in net.biases:
+            b[:] = rng.uniform(-0.5, 0.5, b.shape)
+        net.skip[:] = rng.uniform(-0.5, 0.5, net.skip.shape)
+        inputs = []
+        for n in (8192, 7, None, 8192):
+            x = rng.standard_normal(6 if n is None else (n, 6))
+            t = rng.uniform(0.0, 1.0, 1 if n is None else n) if per_row_t else 0.4
+            inputs.append((x, t))
+        outputs, expected = [], []
+        for x, t in inputs:
+            out = net.forward(x, t)
+            assert out.dtype == dtype and out.shape == x.shape
+            want = net.forward_cached(x, t)[0]
+            np.testing.assert_array_equal(out, want)
+            outputs.append(out)
+            expected.append(want.copy())
+        # later calls, at the same or another row count, leave earlier outputs alone
+        for out, want in zip(outputs, expected):
+            np.testing.assert_array_equal(out, want)
+        for i, out in enumerate(outputs):
+            for x, _ in inputs:
+                assert not np.shares_memory(out, x)
+            for other in outputs[i + 1:]:
+                assert not np.shares_memory(out, other)
+
+    def test_warm_forward_allocates_little_beyond_its_output(self):
+        net = Mlp.create(dim=64, hidden=(256, 256, 256), rng=np.random.default_rng(27),
+                         dtype=np.float32)
+        x = np.random.default_rng(28).standard_normal((4096, 64))
+        net.forward(x, 0.5)
+        tracemalloc.start()
+        try:
+            out = net.forward(x, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes, f"peak {peak} bytes for a {out.nbytes}-byte output"
 
     def test_no_activation_blowup_on_training_box(self):
         net = Mlp.create(dim=8, hidden=(32, 32), rng=np.random.default_rng(7))
