@@ -401,6 +401,8 @@ def _cmd_diagnose_norm(args) -> int:
 
 
 def _cmd_diagnose_fld(args) -> int:
+    import hashlib
+
     from .diagnostics import split_half_fld, track_fld
     from .rng import rng_for
     from .solver import load_trajectory
@@ -418,6 +420,11 @@ def _cmd_diagnose_fld(args) -> int:
     floor = split_half_fld(synth)
     rows = [(t, v, floor) for t, v in zip(report.times, report.values)]
     _emit(args.out, ("t", "value", "split_half_floor"), rows)
+    if args.out is not None:
+        # the reference travels with the CSV: a shared directory manifest can be overwritten
+        digest = hashlib.sha256(reference.mean.tobytes() + reference.cov.tobytes()).hexdigest()
+        meta = {"reference": args.reference, "reference_id": f"{ref_id}:{digest[:16]}"}
+        Path(f"{args.out}.json").write_text(json.dumps(meta, indent=2) + "\n")
     _sidecar_manifest(args.out, "diagnose-fld", {
         "traj": str(args.traj), "reference": args.reference,
         "split_half_floor": floor}, args.seed)
@@ -434,16 +441,30 @@ def _cmd_diagnose_lag(args) -> int:
     import numpy as np
 
     from .diagnostics import FldReport, lag_improvement
+    from .errors import ConfigError
     from .reporting import read_csv
 
-    def load_report(path):
+    def reference_of(path):
+        try:
+            return json.loads(Path(f"{path}.json").read_text())["reference_id"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    refs = [reference_of(path) for path in (args.baseline, args.corrected)]
+    if None in refs or refs[0] != refs[1]:
+        raise ConfigError(
+            f"{args.baseline} and {args.corrected} must carry the same reference in their "
+            f"'diagnose fld' sidecars ({args.baseline}.json, {args.corrected}.json); "
+            f"found {refs[0]!r} and {refs[1]!r}")
+
+    def load_report(path, reference_id):
         header, rows = read_csv(path)
         times = tuple(float(r[0]) for r in rows)
         values = np.array([float(r[1]) for r in rows])
-        return FldReport(times=times, values=values, reference_id="csv", n_samples=0)
+        return FldReport(times=times, values=values, reference_id=reference_id, n_samples=0)
 
-    baseline = load_report(args.baseline)
-    corrected = load_report(args.corrected)
+    baseline = load_report(args.baseline, refs[0])
+    corrected = load_report(args.corrected, refs[1])
     deltas = lag_improvement(baseline, corrected)
     _emit(args.out, ("t", "value"), list(zip(baseline.times, deltas)))
     _sidecar_manifest(args.out, "diagnose-lag",

@@ -47,38 +47,56 @@ def _bcast(coeff, x):
 
 
 class Interpolant:
-    """Base class; subclasses define the four coefficient functions."""
+    """Base class; subclasses define the four coefficient functions.
+
+    Subclasses override the unchecked private forms ``_alpha``, ``_sigma``,
+    ``_d_alpha`` and ``_d_sigma`` of a float64 t in [0, 1], not the public
+    methods: those check t once and then call the private forms, and so do
+    ``coefficients``, ``sample_xt`` and ``target_velocity``.
+    """
 
     kind: str
 
-    def alpha(self, t):
+    def _alpha(self, t):
         raise NotImplementedError
+
+    def _sigma(self, t):
+        raise NotImplementedError
+
+    def _d_alpha(self, t):
+        raise NotImplementedError
+
+    def _d_sigma(self, t):
+        raise NotImplementedError
+
+    def alpha(self, t):
+        return self._alpha(_check_time(t))
 
     def sigma(self, t):
-        raise NotImplementedError
+        return self._sigma(_check_time(t))
 
     def d_alpha(self, t):
-        raise NotImplementedError
+        return self._d_alpha(_check_time(t))
 
     def d_sigma(self, t):
-        raise NotImplementedError
+        return self._d_sigma(_check_time(t))
 
     def coefficients(self, t):
         """(alpha, sigma, d_alpha, d_sigma) at time t."""
         t = _check_time(t)
-        return self.alpha(t), self.sigma(t), self.d_alpha(t), self.d_sigma(t)
+        return self._alpha(t), self._sigma(t), self._d_alpha(t), self._d_sigma(t)
 
     def sample_xt(self, x0, x1, t):
         """State on the path: alpha(t) * x1 + sigma(t) * x0."""
         x0, x1 = _check_pair(x0, x1)
         t = _check_time(t)
-        return _bcast(self.alpha(t), x1) * x1 + _bcast(self.sigma(t), x0) * x0
+        return _bcast(self._alpha(t), x1) * x1 + _bcast(self._sigma(t), x0) * x0
 
     def target_velocity(self, x0, x1, t):
         """Conditional target velocity: d_alpha(t) * x1 + d_sigma(t) * x0."""
         x0, x1 = _check_pair(x0, x1)
         t = _check_time(t)
-        return _bcast(self.d_alpha(t), x1) * x1 + _bcast(self.d_sigma(t), x0) * x0
+        return _bcast(self._d_alpha(t), x1) * x1 + _bcast(self._d_sigma(t), x0) * x0
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -89,17 +107,17 @@ class LinearPath(Interpolant):
 
     kind = "linear"
 
-    def alpha(self, t):
-        return _check_time(t)
+    def _alpha(self, t):
+        return t
 
-    def sigma(self, t):
-        return 1.0 - _check_time(t)
+    def _sigma(self, t):
+        return 1.0 - t
 
-    def d_alpha(self, t):
-        return np.ones_like(_check_time(t))
+    def _d_alpha(self, t):
+        return np.ones_like(t)
 
-    def d_sigma(self, t):
-        return -np.ones_like(_check_time(t))
+    def _d_sigma(self, t):
+        return -np.ones_like(t)
 
 
 def _sin_half(t):
@@ -122,17 +140,17 @@ class GvpPath(Interpolant):
 
     kind = "gvp"
 
-    def alpha(self, t):
-        return _sin_half(_check_time(t))
+    def _alpha(self, t):
+        return _sin_half(t)
 
-    def sigma(self, t):
-        return _cos_half(_check_time(t))
+    def _sigma(self, t):
+        return _cos_half(t)
 
-    def d_alpha(self, t):
-        return 0.5 * np.pi * _cos_half(_check_time(t))
+    def _d_alpha(self, t):
+        return 0.5 * np.pi * _cos_half(t)
 
-    def d_sigma(self, t):
-        return -0.5 * np.pi * _sin_half(_check_time(t))
+    def _d_sigma(self, t):
+        return -0.5 * np.pi * _sin_half(t)
 
 
 class VpPath(Interpolant):
@@ -159,23 +177,20 @@ class VpPath(Interpolant):
         u = 1.0 - t
         return np.exp(-0.25 * self.a * u * u - 0.5 * self.b * u)
 
-    def alpha(self, t):
-        t = _check_time(t)
+    def _alpha(self, t):
         return (self._raw(t) - self._e0) / (1.0 - self._e0)
 
-    def sigma(self, t):
-        a = self.alpha(t)
+    def _sigma(self, t):
+        a = self._alpha(t)
         return np.sqrt(np.maximum(1.0 - a * a, 0.0))
 
-    def d_alpha(self, t):
-        t = _check_time(t)
+    def _d_alpha(self, t):
         u = 1.0 - t
         return self._raw(t) * (0.5 * self.a * u + 0.5 * self.b) / (1.0 - self._e0)
 
-    def d_sigma(self, t):
-        t = _check_time(t)
-        a = self.alpha(t)
-        da = self.d_alpha(t)
+    def _d_sigma(self, t):
+        a = self._alpha(t)
+        da = self._d_alpha(t)
         s = np.sqrt(np.maximum(1.0 - a * a, 0.0))
         return np.where(s > 0.0, -a * da / np.where(s > 0.0, s, 1.0), 0.0)
 

@@ -133,43 +133,30 @@ class SolverSpec:
             raise ConfigError("t_min must lie in (0, 0.5)")
 
 
-class _Workspace:
-    """Step temporaries, allocated on the first step and reused after that.
-
-    ``work(name, ufunc, a, b)`` is ``ufunc(a, b)`` written into the buffer
-    ``name``, or into ``a`` itself when name is None.  Each buffer takes
-    the shape and dtype the fresh expression would have, so both paths
-    round alike.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    def __call__(self, name, ufunc, a, b):
-        if name is None:
-            return ufunc(a, b, out=a)
-        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-        dtype = np.result_type(a, b)
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(shape, dtype)
-        return ufunc(a, b, out=buf)
+# Rows per step block: 256 KB per float64 buffer at D=64, so temporaries stay in L2.
+_BLOCK_ROWS = 512
 
 
-def _fresh(name, ufunc, a, b):
-    """ufunc(a, b) as a new array: the step arithmetic without a workspace."""
-    return ufunc(a, b)
+def _view(buf, dtype):
+    """buf's memory as an array of its shape in dtype; float64 storage fits any real dtype."""
+    return np.ndarray(buf.shape, dtype, buffer=buf)
 
 
-def scaled_velocity(field, schedule: ScaleSchedule, x, t: float, *, work=None, name="v",
-                    own=False):
+def _blocks(x, work, vtype):
+    """Row blocks of x as (rows, b0, b1, b2): block buffers cut to fit, None without
+    ``work``.  b0 is float64, x's dtype under ``integrate``; b1 and b2 are viewed in
+    vtype, the field's, so every temporary has its whole-array expression's dtype."""
+    buffers = (work[0], _view(work[1], vtype), _view(work[2], vtype)) if work else [None] * 3
+    for i in range(0, len(x), _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, len(x) - i)
+        yield (slice(i, i + n), *(None if b is None else b[:n] for b in buffers))
+
+
+def scaled_velocity(field, schedule: ScaleSchedule, x, t: float):
     """gamma(t) * field(x, t), the literal per-call correction.
 
     When gamma(t) is exactly 1 this returns the field's own array, since
-    1.0 * v equals v bit for bit; callers must not write into it.  With
-    ``own`` the result is always a fresh array or a workspace buffer, for
-    a caller that keeps it across another field call.  With a workspace
-    ``work`` the product goes to its buffer ``name``.
+    1.0 * v equals v bit for bit; callers must not write into it.
     """
     v = np.asarray(field(x, t))
     if not np.all(np.isfinite(v)):
@@ -178,48 +165,49 @@ def scaled_velocity(field, schedule: ScaleSchedule, x, t: float, *, work=None, n
             state_summary={"x_max_abs": float(np.max(np.abs(x))),
                            "n_bad": int(np.size(v) - np.count_nonzero(np.isfinite(v)))})
     gamma = float(schedule.gamma(t))
-    if gamma == 1.0 and not own:
-        return v
-    return (work or _fresh)(name, np.multiply, v, gamma)
+    return v if gamma == 1.0 else v * gamma
+
+
+def _velocity(field, schedule: ScaleSchedule, x, t: float):
+    """(field(x, t), gamma(t)), for a step that applies gamma block by block."""
+    return scaled_velocity(field, IDENTITY_SCHEDULE, x, t), float(schedule.gamma(t))
+
+
+def _euler_update(x, v, gamma: float, dt: float, work):
+    """x + (gamma v) dt, block by block."""
+    vtype = np.result_type(v, dt)
+    out = x if work else np.empty(x.shape, np.result_type(x, vtype))
+    for r, _, b, _ in _blocks(x, work, vtype):
+        np.add(x[r], np.multiply(np.multiply(v[r], gamma, out=b), dt, out=b), out=out[r])
+    return out
 
 
 def euler_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
-    """x + gamma(t) v(x, t) dt.
-
-    Returns a new array.  With a workspace ``work``, which ``integrate``
-    passes, x is updated in place and returned instead; the other steps
-    take ``work`` the same way.
-    """
-    op = work or _fresh
-    v = scaled_velocity(field, schedule, x, t, work=work)
-    return op(None, np.add, x, op("dv", np.multiply, v, dt))
+    """x + gamma(t) v(x, t) dt, as a new array; with ``work``, the buffers that
+    ``integrate`` passes, x is updated in place and returned, as in every step."""
+    return _euler_update(x, *_velocity(field, schedule, x, t), dt, work)
 
 
 def heun_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
     """Two-stage predictor-corrector; each stage scaled at its own time.
 
     v1 is kept across the second field call, which may reuse the array
-    the first call returned, so it is always the step's own copy.
+    the first call returned, so the step scales it into its own array.
     """
-    op = work or _fresh
-    v1 = scaled_velocity(field, schedule, x, t, work=work, own=True)
-    x_pred = op("dx", np.add, x, op("dv", np.multiply, v1, dt))
-    v2 = scaled_velocity(field, schedule, x_pred, t + dt, work=work, name="v2")
-    return op(None, np.add, x, op("dv", np.multiply, op("dv", np.add, v1, v2), 0.5 * dt))
-
-
-def _score_from_velocity(interp: Interpolant, x, v, t: float, t_min: float, op=_fresh):
-    """Marginal score implied by a velocity field.
-
-    Uses the linear relation between E[x0 | x_t] and the velocity; the
-    conversion divides by sigma-derived factors, so coefficients are
-    evaluated at t clamped into [t_min, 1 - t_min].
-    """
-    tc = min(max(t, t_min), 1.0 - t_min)
-    a, s, da, ds = (float(c) for c in interp.coefficients(tc))
-    denom = s * (a * ds - da * s)
-    dax = op("dx", np.multiply, x, da)
-    return op("dx", np.divide, op("dx", np.subtract, dax, op("dv", np.multiply, v, a)), denom)
+    v, gamma = _velocity(field, schedule, x, t)
+    vtype = np.result_type(v, dt)
+    v1, x_pred = ((_view(work[3], vtype), work[4]) if work else
+                  (np.empty(x.shape, vtype), np.empty(x.shape, np.result_type(x, vtype))))
+    for r, _, b, _ in _blocks(x, work, vtype):
+        np.add(x[r], np.multiply(np.multiply(v[r], gamma, out=v1[r]), dt, out=b), out=x_pred[r])
+    del v   # one (N, D) array less while the field runs again
+    v, gamma = _velocity(field, schedule, x_pred, t + dt)
+    vtype = np.result_type(v1, v, dt)
+    out = x if work else np.empty(x.shape, np.result_type(x, vtype))
+    for r, _, b, _ in _blocks(x, work, vtype):
+        dv = np.add(v1[r], np.multiply(v[r], gamma, out=b), out=b)
+        np.add(x[r], np.multiply(dv, 0.5 * dt, out=dv), out=out[r])
+    return out
 
 
 def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt: float,
@@ -230,17 +218,26 @@ def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt
     The model velocity is scaled by gamma first; drift and score are then
     derived from the scaled field, and the diffusion weight is w_t =
     sigma_t (or zero, which reduces to the deterministic Euler update).
+    The score's coefficients are taken at t clamped into [t_min, 1 - t_min].
+    Noise is drawn block by block in row order: the stream of one whole draw.
     """
-    op = work or _fresh
-    v = scaled_velocity(field, schedule, x, t, work=work)
+    v, gamma = _velocity(field, schedule, x, t)
     w = 0.0 if diffusion == "zero" else float(interp.sigma(t))
     if w == 0.0:
-        return op(None, np.add, x, op("dv", np.multiply, v, dt))
-    score = _score_from_velocity(interp, x, v, t, t_min, op)
-    drift = op("dx", np.add, v, op("dx", np.multiply, score, 0.5 * w * w))
-    noise = rng.standard_normal(x.shape)
-    x = op(None, np.add, x, op("dx", np.multiply, drift, dt))
-    return op(None, np.add, x, op("dx", np.multiply, noise, w * math.sqrt(dt)))
+        return _euler_update(x, v, gamma, dt, work)
+    a, s, da, ds = (float(c) for c in interp.coefficients(min(max(t, t_min), 1.0 - t_min)))
+    denom = s * (a * ds - da * s)
+    vtype = np.result_type(v, dt)
+    out = x if work else np.empty(x.shape, np.result_type(x, vtype, np.float64))  # float64 noise
+    for r, b0, b1, b2 in _blocks(x, work, vtype):
+        gv = np.multiply(v[r], gamma, out=b1)
+        score = np.subtract(np.multiply(x[r], da, out=b0), np.multiply(gv, a, out=b2), out=b0)
+        score = np.divide(score, denom, out=score)
+        drift = np.add(gv, np.multiply(score, 0.5 * w * w, out=score), out=score)
+        x_r = np.add(x[r], np.multiply(drift, dt, out=drift), out=out[r])
+        noise = rng.standard_normal(x_r.shape) if b0 is None else rng.standard_normal(out=b0)
+        np.add(x_r, np.multiply(noise, w * math.sqrt(dt), out=noise), out=x_r)
+    return out
 
 
 @dataclass
@@ -272,11 +269,10 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     particles default to standard normal noise drawn from a stream
     derived from ``seed``; pass ``x0`` to integrate a fixed batch.
 
-    The batch is updated in place, and step temporaries are reused from
-    step to step; the results equal those of the fresh-array steps bit for
-    bit.  The steps never write into an array the field returned, so the
-    field may return its input, an array it keeps, or one output buffer it
-    reuses from call to call.
+    The batch is updated in place, block by block, through buffers allocated
+    once per run, bit for bit as whole-array steps would.  The steps never
+    write into an array the field returned, so the field may return its
+    input, an array it keeps, or one output buffer it reuses.
     """
     if spec.method == "euler-maruyama" and interp is None:
         raise ConfigError("euler-maruyama integration requires the interpolant")
@@ -291,7 +287,9 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     # arange/nfe gives each node as the correctly rounded k/nfe (endpoint 1.0 exact)
     grid = np.arange(spec.nfe + 1, dtype=np.float64) / spec.nfe
     node_for = [int(round(c * spec.nfe)) for c in spec.checkpoints]
-    work = _Workspace()
+    # buffers for the whole run: three float64 row blocks, then Heun's v1 and predictor
+    work = (*np.empty((3, min(_BLOCK_ROWS, n_particles), dim)),
+            *np.empty((2 * (spec.method == "heun"), n_particles, dim)))
     recorded = {}
     if 0 in node_for:
         recorded[0] = x.copy()

@@ -20,6 +20,7 @@ from .datasets import make_dataset
 from .errors import ConfigError, TrainingDivergedError
 from .interpolant import make_interpolant, PATH_KINDS
 from .nn import Adam, Mlp, save_checkpoint
+from .reporting import write_csv
 from .rng import rng_for
 
 MAFM_SHAPES = ("linear", "cosine", "quad-in", "quad-out")
@@ -249,7 +250,7 @@ def train(config: TrainConfig, out_dir=None) -> TrainResult:
 
     checkpoint_path = None
     if out_dir is not None:
-        _write_loss_csv(out_dir / "loss.csv", history)
+        write_csv(out_dir / "loss.csv", ("step", "fm_term", "magnitude_term", "total"), history)
         checkpoint_path = out_dir / "checkpoint.npz"
         save_checkpoint(checkpoint_path, net, opt, rng=batch_rng, step=config.steps,
                         extra={"train_config": config.to_dict()})
@@ -268,19 +269,12 @@ def _divergence_snapshot(net: Mlp, step: int, parts: LossBreakdown) -> dict:
             "magnitude_term": parts.magnitude_term, "parameters": stats}
 
 
-def _write_loss_csv(path: Path, history) -> None:
-    lines = ["step,fm_term,magnitude_term,total"]
-    for step, fm, mag, total in history:
-        lines.append(f"{step},{fm:.17g},{mag:.17g},{total:.17g}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_norm_profile(path: Path, net, interp, dataset, seed: int) -> None:
     from .diagnostics import norm_profile  # deferred: diagnostics imports nothing back
 
     profile = norm_profile(net.forward, interp, dataset, np.linspace(0.05, 0.95, 19),
                            n_samples=2048, seed=seed)
-    lines = ["t,mean_norm,std_norm,target_rms"]
-    for i, t in enumerate(profile.times):
-        lines.append(f"{t:.17g},{profile.mean[i]:.17g},{profile.std[i]:.17g},{profile.target_rms[i]:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    # tolist() turns float32 elements into Python floats, which write_csv writes as %.17g
+    columns = (profile.times, profile.mean, profile.std, profile.target_rms)
+    write_csv(path, ("t", "mean_norm", "std_norm", "target_rms"),
+              zip(*(c.tolist() for c in columns)))

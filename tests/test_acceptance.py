@@ -42,6 +42,7 @@ from flowlag.solver import (
     ScaleSchedule,
     SolverSpec,
     calibrate_s_start,
+    euler_step,
     integrate,
     scaled_velocity,
 )
@@ -235,7 +236,7 @@ def _ssc_clauses(interp, data_std):
     sched = ScaleSchedule("linear", 1.1, 1.0)
     rng = np.random.default_rng(SEED + 3)
     x = rng.standard_normal((64, 16))
-    scaling_ok = True
+    scaling_ok = step_ok = True
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = field(x, t)
         v_hat = scaled_velocity(field, sched, x, t)
@@ -244,11 +245,16 @@ def _ssc_clauses(interp, data_std):
         # identity then holds to the rounding of the norm reduction itself
         if not np.array_equal(v_hat, g * v):
             scaling_ok = False
+        # the solver applies gamma itself, block by block: the step that
+        # sampling runs must carry the same literal product
+        if not np.array_equal(euler_step(field, sched, x, t, 0.04), x + (g * v) * 0.04):
+            step_ok = False
         rel = np.abs(np.linalg.norm(v_hat, axis=1) - g * np.linalg.norm(v, axis=1))
         rel /= np.maximum(g * np.linalg.norm(v, axis=1), 1e-300)
         if rel.max() > 1e-14:
             scaling_ok = False
     clauses.append((f"{interp.kind} per-call norm scaling", scaling_ok))
+    clauses.append((f"{interp.kind} euler step uses the literal product", step_ok))
     return clauses
 
 

@@ -162,6 +162,29 @@ class TestDiagnoseCommands:
         assert len(rows) == 5
         header, _ = read_csv(base_csv)
         assert header == ["t", "value", "split_half_floor"]
+        refs = {json.loads(Path(f"{csv}.json").read_text())["reference_id"]
+                for csv in (base_csv, corr_csv)}
+        assert len(refs) == 1 and refs.pop().startswith("gaussian:analytic:")
+
+    def test_lag_refuses_reports_against_different_references(self, tiny_run, tmp_path, capsys):
+        traj = tmp_path / "traj.bin"
+        run_cli("sample", "--checkpoint", str(tiny_run.checkpoint_path), "--nfe", "10",
+                "--particles", "512", "--seed", "5", "--out", str(traj))
+        one, two = tmp_path / "std1" / "fld.csv", tmp_path / "std2" / "fld.csv"
+        for csv, reference in ((one, "gaussian:4:1.0"), (two, "gaussian:4:2.0")):
+            csv.parent.mkdir()
+            assert run_cli("diagnose", "fld", "--traj", str(traj), "--reference", reference,
+                           "--out", str(csv)) == EXIT_OK
+        capsys.readouterr()
+        lag = ("diagnose", "lag", "--baseline", str(one), "--corrected", str(two))
+        assert run_cli(*lag) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{one}.json" in err and f"{two}.json" in err
+        # a report without its sidecar is refused too, also against itself
+        Path(f"{two}.json").unlink()
+        assert run_cli("diagnose", "lag", "--baseline", str(two), "--corrected", str(two)) \
+            == EXIT_CONFIG
+        assert run_cli(*lag) == EXIT_CONFIG
 
 
 class TestLagSweep:

@@ -147,3 +147,77 @@ class TestVpPathShape:
         p = VpPath()
         t = np.linspace(0.0, 1.0, 101)
         np.testing.assert_allclose(p.alpha(t) ** 2 + p.sigma(t) ** 2, 1.0, atol=1e-14)
+
+
+def _reference_coefficients(kind, t):
+    """(alpha, sigma, d_alpha, d_sigma), each formula written out on its own."""
+    t = np.asarray(t, dtype=np.float64)
+    if kind == "linear":
+        return t, 1.0 - t, np.ones_like(t), -np.ones_like(t)
+    if kind == "gvp":
+        sin_half = np.where(t <= 0.5, np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * (1.0 - t)))
+        cos_half = np.where(t <= 0.5, np.cos(0.5 * np.pi * t), np.sin(0.5 * np.pi * (1.0 - t)))
+        return sin_half, cos_half, 0.5 * np.pi * cos_half, -0.5 * np.pi * sin_half
+    a_, b_ = 19.9, 0.1
+    e0 = float(np.exp(-0.25 * a_ - 0.5 * b_))
+    u = 1.0 - t
+    raw = np.exp(-0.25 * a_ * u * u - 0.5 * b_ * u)
+    alpha = (raw - e0) / (1.0 - e0)
+    sigma = np.sqrt(np.maximum(1.0 - alpha * alpha, 0.0))
+    d_alpha = raw * (0.5 * a_ * u + 0.5 * b_) / (1.0 - e0)
+    d_sigma = np.where(sigma > 0.0, -alpha * d_alpha / np.where(sigma > 0.0, sigma, 1.0), 0.0)
+    return alpha, sigma, d_alpha, d_sigma
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+HALF_ULPS = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+T_GRID = [0.0, 1.0, *HALF_ULPS, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), 0.3, 1 - 1e-9]
+
+
+class TestTimeCheckedOnce:
+    """Each public method checks t once and returns the formulas' exact bits."""
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    @pytest.mark.parametrize("t", T_GRID + [np.array(T_GRID), np.array(HALF_ULPS)[:, None]],
+                             ids=[f"{float(t)!r}" for t in T_GRID] + ["grid", "column"])
+    def test_bitwise_equal_to_the_formulas(self, kind, t):
+        interp = make_interpolant(kind)
+        want = _reference_coefficients(kind, t)
+        for got, ref in zip(interp.coefficients(t), want):
+            _assert_same_bits(got, ref)
+        for name, ref in zip(("alpha", "sigma", "d_alpha", "d_sigma"), want):
+            _assert_same_bits(getattr(interp, name)(t), ref)
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_state_and_velocity_bitwise_equal_to_the_formulas(self, kind):
+        interp = make_interpolant(kind)
+        rng = np.random.default_rng(4)
+        t = np.array(T_GRID)
+        x0, x1 = rng.standard_normal((2, t.size, 5))
+        a, s, da, ds = _reference_coefficients(kind, t)
+        _assert_same_bits(interp.sample_xt(x0, x1, t), a[:, None] * x1 + s[:, None] * x0)
+        _assert_same_bits(interp.target_velocity(x0, x1, t), da[:, None] * x1 + ds[:, None] * x0)
+        for i, ti in enumerate(T_GRID):
+            a, s, da, ds = _reference_coefficients(kind, ti)
+            _assert_same_bits(interp.sample_xt(x0[i], x1[i], ti), a * x1[i] + s * x0[i])
+            _assert_same_bits(interp.target_velocity(x0[i], x1[i], ti), da * x1[i] + ds * x0[i])
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    @pytest.mark.parametrize("t", [np.nan, -0.1, 1.1, np.inf, -np.inf, np.nextafter(1.0, 2.0),
+                                   np.array([0.2, np.nan]), np.array([0.5, 1.5])],
+                             ids=["nan", "below", "above", "inf", "-inf", "1+ulp", "nan-in-array",
+                                  "above-in-array"])
+    def test_every_public_method_rejects_bad_times(self, kind, t):
+        interp = make_interpolant(kind)
+        x = np.zeros((np.size(t), 3))
+        calls = [getattr(interp, name) for name in ("alpha", "sigma", "d_alpha", "d_sigma",
+                                                     "coefficients")]
+        calls += [lambda t: interp.sample_xt(x, x, t), lambda t: interp.target_velocity(x, x, t)]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(t)

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from flowlag.interpolant import LinearPath, make_interpolant
 from flowlag.nn import Mlp
 from flowlag.rng import rng_for
 from flowlag.solver import (
+    _BLOCK_ROWS,
     IDENTITY_SCHEDULE,
     ScaleSchedule,
     SolverSpec,
@@ -348,31 +350,53 @@ def _float32_net(dim):
     return net
 
 
+BLOCK_SIZES = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+
+
 class TestInPlaceIntegration:
-    """The workspace changes no output bit."""
+    """The in-place row-block steps change no output bit."""
 
     DIM, N, NFE, SEED = 6, 48, 12, 21
 
-    def _assert_matches_reference(self, field, method, diffusion, schedule, interp=LINEAR):
+    def _assert_matches_reference(self, field, method, diffusion, schedule, interp=LINEAR,
+                                  n=N):
         spec = SolverSpec(method=method, nfe=self.NFE, schedule=schedule, diffusion=diffusion,
                           checkpoints=tuple(k / self.NFE for k in range(self.NFE + 1)))
-        x0 = np.random.default_rng(8).standard_normal((self.N, self.DIM))
-        traj = integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=self.SEED,
+        x0 = np.random.default_rng(8).standard_normal((n, self.DIM))
+        traj = integrate(field, spec, dim=self.DIM, n_particles=n, seed=self.SEED,
                          interp=interp, x0=x0)
         want = _reference_integrate(field, spec, x0, self.SEED, interp)
         assert len(traj.states) == len(want)
         for got, ref in zip(traj.states, want):
             np.testing.assert_array_equal(got, ref)
 
+    def _field(self, kind, n):
+        if kind == "oracle-float64":
+            return OracleField(GaussianFlowSpec(dim=self.DIM, data_std=2.0), LINEAR)
+        if kind == "mlp-float32":
+            return _float32_net(self.DIM).forward
+        oracle, out = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR), np.empty((n, self.DIM))
+
+        def field(x, t):   # reuses one output buffer
+            out[...] = oracle(x, t)
+            return out
+
+        return field
+
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
     @pytest.mark.parametrize("method,diffusion", METHODS)
     @pytest.mark.parametrize("field_kind", ["oracle-float64", "mlp-float32"])
     def test_bitwise_equal_to_fresh_array_steps(self, field_kind, method, diffusion, schedule):
-        if field_kind == "oracle-float64":
-            field = OracleField(GaussianFlowSpec(dim=self.DIM, data_std=2.0), LINEAR)
-        else:
-            field = _float32_net(self.DIM).forward
-        self._assert_matches_reference(field, method, diffusion, schedule)
+        self._assert_matches_reference(self._field(field_kind, self.N), method, diffusion, schedule)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
+    @pytest.mark.parametrize("method,diffusion", METHODS)
+    @pytest.mark.parametrize("field_kind", ["oracle-float64", "mlp-float32", "reused-buffer"])
+    def test_bitwise_equal_around_the_block_size(self, field_kind, method, diffusion, schedule, n):
+        """One row, one block short, exactly one, one over, and several plus a remainder."""
+        self._assert_matches_reference(self._field(field_kind, n), method, diffusion, schedule,
+                                       n=n)
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
     @pytest.mark.parametrize("method,diffusion", METHODS)
@@ -387,14 +411,8 @@ class TestInPlaceIntegration:
     @pytest.mark.parametrize("method,diffusion", METHODS)
     def test_field_may_reuse_its_output_buffer(self, method, diffusion, schedule):
         """Heun keeps v1 across its second field call, so it keeps its own copy."""
-        oracle = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
-        out = np.empty((self.N, self.DIM))
-
-        def field(x, t):
-            out[...] = oracle(x, t)
-            return out
-
-        self._assert_matches_reference(field, method, diffusion, schedule)
+        self._assert_matches_reference(self._field("reused-buffer", self.N), method, diffusion,
+                                       schedule)
 
     @pytest.mark.parametrize("nan_at_call", [None, 4])
     def test_integrate_starts_no_thread(self, nan_at_call):
@@ -421,12 +439,126 @@ class TestInPlaceIntegration:
     def test_steps_without_diffusion_draw_no_noise(self):
         """Steps with sigma_t = 0 draw nothing, wherever they fall on the grid."""
         class GappedPath(LinearPath):
-            def sigma(self, t):
-                return 0.0 if 0.25 <= float(t) < 0.5 else super().sigma(t)
+            def _sigma(self, t):
+                return 0.0 if 0.25 <= float(t) < 0.5 else super()._sigma(t)
 
         field = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
         for method, diffusion in METHODS[2:]:
             self._assert_matches_reference(field, method, diffusion, SCHEDULES[1], interp=GappedPath())
+
+
+def _reference_step(method, field, schedule, x, t, dt, rng=None, diffusion="sigma",
+                    interp=LINEAR, t_min=1e-3):
+    """One step as whole-array expressions, each in the dtype numpy gives it."""
+    def scaled_velocity(x, t):
+        return float(schedule.gamma(t)) * np.asarray(field(x, t))
+
+    if method == "euler":
+        return x + scaled_velocity(x, t) * dt
+    if method == "heun":
+        v1 = scaled_velocity(x, t)
+        v2 = scaled_velocity(x + v1 * dt, t + dt)
+        return x + 0.5 * dt * (v1 + v2)
+    v = scaled_velocity(x, t)
+    w = 0.0 if diffusion == "zero" else float(interp.sigma(t))
+    if w == 0.0:
+        return x + v * dt
+    tc = min(max(t, t_min), 1.0 - t_min)
+    a, s, da, ds = (float(c) for c in interp.coefficients(tc))
+    score = (da * x - a * v) / (s * (a * ds - da * s))
+    return x + (v + 0.5 * w * w * score) * dt + w * math.sqrt(dt) * rng.standard_normal(x.shape)
+
+
+def _direct_step(method, field, schedule, x, t, dt, rng=None, diffusion="sigma"):
+    if method == "euler":
+        return euler_step(field, schedule, x, t, dt)
+    if method == "heun":
+        return heun_step(field, schedule, x, t, dt)
+    return em_step(field, schedule, LINEAR, x, t, dt, rng, diffusion=diffusion)
+
+
+class TestDirectSteps:
+    """Without integrate's buffers a step returns a new array, as whole arrays would."""
+
+    DIM = 5
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
+    def test_em_step_equals_the_whole_array_expression(self, schedule, n):
+        field = OracleField(GaussianFlowSpec(dim=self.DIM, data_std=2.0), LINEAR)
+        x = np.random.default_rng(3).standard_normal((n, self.DIM))
+        kept = x.copy()
+        got = em_step(field, schedule, LINEAR, x, 0.3, 0.1, np.random.default_rng(7))
+        want = _reference_step("euler-maruyama", field, schedule, x, 0.3, 0.1,
+                               np.random.default_rng(7))
+        assert got is not x
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(x, kept)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_em_step_leaves_the_generator_where_one_whole_draw_does(self, n):
+        """Noise drawn block by block in row order is the whole-array stream."""
+        field = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
+        x = np.random.default_rng(3).standard_normal((n, self.DIM))
+        rng, whole = np.random.default_rng(11), np.random.default_rng(11)
+        em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.3, 0.1, rng)
+        whole.standard_normal(x.shape)
+        assert rng.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
+    @pytest.mark.parametrize("method,diffusion", METHODS)
+    @pytest.mark.parametrize("field_dtype", [np.float32, np.float64])
+    def test_float32_state_keeps_the_whole_array_dtype(self, field_dtype, method, diffusion,
+                                                       schedule):
+        def field(x, t):
+            return (np.sin(x) + t).astype(field_dtype)
+
+        x = np.random.default_rng(5).standard_normal((_BLOCK_ROWS + 3, self.DIM))
+        x = x.astype(np.float32)
+        kept = x.copy()
+        got = _direct_step(method, field, schedule, x, 0.3, 0.1, np.random.default_rng(2),
+                           diffusion)
+        want = _reference_step(method, field, schedule, x, 0.3, 0.1, np.random.default_rng(2),
+                               diffusion)
+        # float32 throughout, except that float64 noise or a float64 field promotes
+        noisy = method == "euler-maruyama" and diffusion == "sigma"
+        assert want.dtype == (np.float64 if noisy or field_dtype == np.float64 else np.float32)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(x, kept)
+
+
+class TestStepMemory:
+    """A warm run allocates its batch, states and run-long buffers, and no
+    whole-array temporaries (a deterministic guard, independent of timing)."""
+
+    DIM, N, NFE = 64, 8192, 5
+
+    @pytest.mark.parametrize("method", ["euler", "heun", "euler-maruyama"])
+    def test_peak_allocation_stays_within_budget(self, method):
+        kept = np.empty((self.N, self.DIM))
+
+        def field(x, t):
+            return np.multiply(x, -0.5, out=kept)   # field allocations would not count
+
+        spec = SolverSpec(method=method, nfe=self.NFE)
+        x0 = np.random.default_rng(0).standard_normal((self.N, self.DIM))
+
+        def run():
+            integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=1, interp=LINEAR, x0=x0)
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch = x0.nbytes
+        heun = 2 * batch if method == "heun" else 0              # v1 and the predictor
+        blocks = 3 * _BLOCK_ROWS * self.DIM * 8
+        budget = batch * (1 + len(spec.checkpoints)) + heun + blocks + (1 << 20)
+        assert peak <= budget, (peak / 2**20, budget / 2**20)
 
 
 class TestTrajectoryContainer:
