@@ -2,7 +2,10 @@
 
 Subcommands: train, sample, oracle {jensen|cross-term|rho},
 diagnose {norm|fld|lag}, lag-sweep, schedule-calibrate, and run (which
-executes one experiment described by a JSON config).  Exit codes:
+executes one experiment described by a JSON config).  Every subcommand
+but run is one entry of EXPERIMENTS, whose parameters are declared once:
+the flags and run's JSON ``spec`` are both checked against them, and both
+call the entry's one function.  Exit codes:
 
     0  success
     2  config/argument problem
@@ -21,7 +24,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,131 +70,185 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
+# -- the experiment table: parameters --------------------------------------
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One experiment parameter: flag ``--name-with-dashes``, spec key ``name``."""
+
+    name: str
+    type: str                 # a key of _TYPES
+    default: object = _REQUIRED
+    help: str | None = None
+    choices: tuple | None = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """``func(params, seed, out)`` runs the experiment and returns its exit code.
+
+    ``params`` is None for train, whose spec is a train config.  ``out`` is
+    "dir" (a directory), "bin" or "csv" (a file; a CSV without --out goes
+    to stdout) or None; run writes a file output to <out_dir>/<name>.<out>.
+    """
+
+    name: str
+    command: str
+    help: str
+    func: Callable
+    params: tuple | None
+    out: str | None = "csv"
+    seeded: bool = True
+
+
+def _ints(text: str) -> list:
+    return [int(v) for v in text.split(",") if v != ""]
+
+
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",") if v != ""]
+
+
+# parameter type -> (parser of its flag text, JSON type of its value or items, list-valued);
+# lists are comma-separated text as flags and JSON lists in a spec
+_TYPES = {
+    "int": (int, int, False), "float": (float, float, False), "str": (str, str, False),
+    "path": (str, str, False), "bool": (None, bool, False), "object": (None, dict, False),
+    "ints": (_ints, int, True), "floats": (_floats, float, True),
+}
+
+_SEED = Param("seed", "int", 0)
+_ENVELOPE = (Param("experiment", "str"), Param("out_dir", "path"), _SEED,
+             Param("spec", "object"))
+
+
+def _json_item(value, want: type):
+    """``value`` as ``want``: a JSON integer serves as a float, a boolean only as a bool."""
+    if (not isinstance(value, (int, float) if want is float else want)
+            or (isinstance(value, bool) and want is not bool)):
+        raise TypeError
+    return want(value)
+
+
+def _validated(what: str, params: tuple, spec) -> dict:
+    """``spec`` checked against ``params``, with defaults filled in; ConfigError otherwise."""
+    from .errors import ConfigError
+
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(spec) - {p.name for p in params}
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    out = {}
+    for p in params:
+        if p.name not in spec:
+            if p.default is _REQUIRED:
+                raise ConfigError(f"{what} requires {p.name!r}")
+            out[p.name] = p.default
+            continue
+        value, (_, want, listed) = spec[p.name], _TYPES[p.type]
+        try:
+            if listed and not isinstance(value, list):
+                raise TypeError
+            if value is not None or p.default is not None:
+                value = [_json_item(v, want) for v in value] if listed else _json_item(value, want)
+        except TypeError:
+            raise ConfigError(f"{what} field {p.name!r} must be of type {p.type}, "
+                              f"got {spec[p.name]!r}") from None
+        if p.choices and value not in p.choices:
+            raise ConfigError(f"{what} field {p.name!r} must be one of {p.choices}")
+        out[p.name] = value
+    return out
+
+
+_GROUPS = {"oracle": "closed-form Gaussian oracle measurements",
+           "diagnose": "norm profiles and distance tracking"}
+_OUT_HELP = {"dir": "artifact directory", "bin": "trajectory file (binary)",
+             "csv": "CSV path (default: stdout)"}
+
+
+def _add_flag(parser, p: Param) -> None:
+    flag = "--" + p.name.replace("_", "-")
+    if p.type == "bool":
+        parser.add_argument(flag, action="store_true", help=p.help)
+        return
+    value = {"required": True} if p.default is _REQUIRED else {"default": p.default}
+    parser.add_argument(flag, type=_TYPES[p.type][0], choices=p.choices, help=p.help, **value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowlag",
         description="Velocity-deficit experiments: train, sample, and measure integration lag.")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("train", help="train a velocity network from a JSON config")
-    p.add_argument("--config", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help="artifact directory")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("sample", help="integrate particles from a trained checkpoint")
-    p.add_argument("--checkpoint", required=True, type=Path)
-    p.add_argument("--nfe", type=int, default=50)
-    p.add_argument("--schedule", default="constant-one",
-                   help="shape:s_start:s_end, e.g. linear:1.1:1.0")
-    p.add_argument("--method", default="euler", choices=["euler", "heun", "euler-maruyama"])
-    p.add_argument("--particles", type=int, default=8192)
-    p.add_argument("--checkpoints", default="0.2,0.4,0.6,0.8,1.0",
-                   help="comma-separated recording times")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, type=Path, help="trajectory file (binary)")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("oracle", help="closed-form Gaussian oracle measurements")
-    osub = p.add_subparsers(dest="oracle_command")
-
-    q = osub.add_parser("jensen", help="learned vs target kinetic energy")
-    q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--data-std", type=float, default=1.0)
-    q.add_argument("--path", default="linear")
-    q.add_argument("--t", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    q.add_argument("--n-mc", type=int, default=100_000)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out", type=Path, default=None, help="CSV path (default: stdout)")
-    q.set_defaults(func=_cmd_oracle_jensen)
-
-    q = osub.add_parser("cross-term", help="conditional cross-term, closed form vs MC")
-    q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--data-std", type=float, default=1.0)
-    q.add_argument("--t", default="0.25,0.5,0.75")
-    q.add_argument("--n-mc", type=int, default=100_000)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out", type=Path, default=None)
-    q.set_defaults(func=_cmd_oracle_cross_term)
-
-    q = osub.add_parser("rho", help="relative cross-term concentration statistics")
-    q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--pairs", type=int, default=50_000)
-    q.add_argument("--data-std", type=float, default=1.0)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out", type=Path, default=None)
-    q.set_defaults(func=_cmd_oracle_rho)
-
-    p = sub.add_parser("diagnose", help="norm profiles and distance tracking")
-    dsub = p.add_subparsers(dest="diagnose_command")
-
-    q = dsub.add_parser("norm", help="velocity-norm profile of a checkpoint")
-    q.add_argument("--checkpoint", required=True, type=Path)
-    q.add_argument("--grid", default="0.05:0.95:19", help="start:stop:count")
-    q.add_argument("--samples", type=int, default=4096)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out", type=Path, default=None)
-    q.add_argument("--svg", type=Path, default=None)
-    q.set_defaults(func=_cmd_diagnose_norm)
-
-    q = dsub.add_parser("fld", help="distance to target at trajectory checkpoints")
-    q.add_argument("--traj", required=True, type=Path)
-    q.add_argument("--reference", required=True,
-                   help="'gaussian:DIM:STD' or a dataset JSON block")
-    q.add_argument("--reference-samples", type=int, default=8192)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--verify", action="store_true",
-                   help="check sqrtm reconstructions at runtime")
-    q.add_argument("--out", type=Path, default=None)
-    q.add_argument("--svg", type=Path, default=None)
-    q.set_defaults(func=_cmd_diagnose_fld)
-
-    q = dsub.add_parser("lag", help="relative improvement between two FLD reports")
-    q.add_argument("--baseline", required=True, type=Path)
-    q.add_argument("--corrected", required=True, type=Path)
-    q.add_argument("--out", type=Path, default=None)
-    q.set_defaults(func=_cmd_diagnose_lag)
-
-    p = sub.add_parser("lag-sweep", help="terminal-distance sweep over injection scales")
-    p.add_argument("--checkpoint", required=True, type=Path)
-    p.add_argument("--nfe", default="10", help="comma-separated step budgets")
-    p.add_argument("--s-start", default="1.0,1.05,1.1,1.15,1.2")
-    p.add_argument("--extra-rows", dest="extra_rows", action="store_true", default=True,
-                   help="include the 1.0->1.1 and 1.05->1.05 schedule rows (default)")
-    p.add_argument("--no-extra-rows", dest="extra_rows", action="store_false")
-    p.add_argument("--method", default="euler", choices=["euler", "heun", "euler-maruyama"])
-    p.add_argument("--particles", type=int, default=8192)
-    p.add_argument("--floor-nfe", type=int, default=500)
-    p.add_argument("--require-lag-ratio", type=float, default=None,
-                   help="fail (exit 3) unless baseline terminal distance exceeds "
-                        "the floor by this factor")
-    p.add_argument("--checkpoints", default="0.2,0.4,0.6,0.8,1.0")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, type=Path, help="report directory")
-    p.set_defaults(func=_cmd_lag_sweep)
-
-    p = sub.add_parser("schedule-calibrate", help="solve s_start for a target area")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--area", type=float, required=True)
-    p.add_argument("--s-end", type=float, default=1.0)
-    p.set_defaults(func=_cmd_schedule_calibrate)
+    groups = {}
+    for exp in EXPERIMENTS.values():
+        words = exp.command.split()
+        where = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                group = sub.add_parser(words[0], help=_GROUPS[words[0]])
+                groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command")
+            where = groups[words[0]]
+        p = where.add_parser(words[-1], help=exp.help)
+        if exp.params is None:
+            p.add_argument("--config", required=True, type=Path)
+        for param in exp.params or ():
+            _add_flag(p, param)
+        if exp.seeded:
+            _add_flag(p, _SEED)
+        if exp.out is not None:
+            p.add_argument("--out", required=exp.out != "csv", type=Path,
+                           help=_OUT_HELP[exp.out])
+        p.set_defaults(func=_from_flags, experiment=exp)
 
     p = sub.add_parser("run", help="execute one experiment from a JSON config")
     p.add_argument("--config", required=True, type=Path)
     p.set_defaults(func=_cmd_run)
-
     return parser
 
 
+def _from_flags(args) -> int:
+    from .errors import ConfigError
+
+    exp = args.experiment
+    if exp.params is None:
+        params = json.loads(Path(args.config).read_text())
+        if not isinstance(params, dict):
+            raise ConfigError("train config must be a JSON object")
+        seed = params.pop("seed", _SEED.default)
+    else:
+        params = {p.name: getattr(args, p.name) for p in exp.params}
+        seed = getattr(args, "seed", _SEED.default)
+    return exp.func(params, seed, getattr(args, "out", None))
+
+
+def _cmd_run(args) -> int:
+    """Run one experiment from a JSON document: experiment, out_dir, seed and spec."""
+    from .errors import ConfigError
+
+    env = _validated("experiment config", _ENVELOPE,
+                     json.loads(Path(args.config).read_text()))
+    exp = EXPERIMENTS.get(env["experiment"])
+    if exp is None:
+        raise ConfigError(f"unknown experiment {env['experiment']!r}; "
+                          f"expected one of {tuple(EXPERIMENTS)}")
+    spec = env["spec"]
+    if "seed" in spec:
+        raise ConfigError("the seed belongs in the experiment config, not in 'spec'")
+    params = spec if exp.params is None else _validated(exp.name, exp.params, spec)
+    out_dir = Path(env["out_dir"])
+    out = out_dir if exp.out == "dir" else None
+    if exp.out in ("bin", "csv"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        out = out_dir / f"{exp.name}.{exp.out}"
+    return exp.func(params, env["seed"], out)
+
+
 # -- helpers ----------------------------------------------------------------
-
-
-def _parse_floats(text: str):
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        from .errors import ConfigError
-
-        raise ConfigError(f"bad float list {text!r}") from exc
 
 
 def _load_net(path):
@@ -229,46 +288,38 @@ def _parse_reference(text: str, n_samples: int, seed: int):
     raise ConfigError(f"cannot parse reference {text!r}")
 
 
-def _emit(path, header, rows) -> None:
-    from .reporting import format_value, write_csv
+def _report(out, header, rows, experiment: str, params: dict, seed: int) -> None:
+    """Rows as a CSV at ``out`` with the manifest beside it, or on stdout."""
+    from .reporting import format_value, write_csv, write_manifest
 
-    if path is None:
+    if out is None:
         print(",".join(header))
         for row in rows:
             print(",".join(format_value(v) for v in row))
-    else:
-        write_csv(path, header, rows)
-        print(f"wrote {path}")
+        return
+    write_csv(out, header, rows)
+    write_manifest(Path(out).parent, experiment, params, seed)
+    print(f"wrote {out}")
 
 
-def _sidecar_manifest(out_path, experiment: str, config: dict, seed: int) -> None:
-    from .reporting import write_manifest
+def _chart(svg, times, series: dict, title: str, ylabel: str) -> None:
+    if svg is not None:
+        from .svg import write_line_chart
 
-    if out_path is not None:
-        write_manifest(Path(out_path).parent, experiment, config, seed)
-
-
-def _args_config(args) -> dict:
-    """JSON-safe view of parsed arguments for the manifest."""
-    out = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        out[key] = str(value) if isinstance(value, Path) else value
-    return out
+        write_line_chart(svg, times, series, title=title, xlabel="t", ylabel=ylabel)
+        print(f"wrote {svg}")
 
 
-# -- commands ----------------------------------------------------------------
+# -- experiments ------------------------------------------------------------
 
 
-def _cmd_train(args) -> int:
+def _train(params, seed, out) -> int:
     from .reporting import write_manifest
     from .training import TrainConfig, train
 
-    raw = json.loads(Path(args.config).read_text())
-    config = TrainConfig.from_dict(raw)
-    write_manifest(args.out, "train", config.to_dict(), config.seed)
-    result = train(config, out_dir=args.out)
+    config = TrainConfig.from_dict({**params, "seed": seed})
+    write_manifest(out, "train", config.to_dict(), seed)
+    result = train(config, out_dir=out)
     final = result.history[-1]
     print(f"trained {config.steps} steps; final loss {final[3]:.6g} "
           f"(fm {final[1]:.6g}, magnitude {final[2]:.6g})")
@@ -276,54 +327,49 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sample(args) -> int:
+def _sample(params, seed, out) -> int:
+    from .reporting import write_manifest
     from .solver import SolverSpec, integrate, parse_schedule, save_trajectory
 
-    ck, interp, train_config = _load_net(args.checkpoint)
-    schedule = parse_schedule(args.schedule)
-    spec = SolverSpec(method=args.method, nfe=args.nfe, schedule=schedule,
-                      checkpoints=tuple(_parse_floats(args.checkpoints)))
-    traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=args.particles,
-                     seed=args.seed, interp=interp)
-    save_trajectory(args.out, traj)
-    _sidecar_manifest(args.out, "sample",
-                      {"checkpoint": str(args.checkpoint), "nfe": args.nfe,
-                       "schedule": schedule.describe(), "method": args.method,
-                       "particles": args.particles,
-                       "checkpoints": list(spec.checkpoints),
-                       "train_config": train_config},
-                      args.seed)
-    print(f"wrote {args.out} ({args.particles} particles, {len(spec.checkpoints)} checkpoints)")
+    ck, interp, _ = _load_net(params["checkpoint"])
+    spec = SolverSpec(method=params["method"], nfe=params["nfe"],
+                      schedule=parse_schedule(params["schedule"]),
+                      checkpoints=tuple(params["checkpoints"]))
+    traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=params["particles"],
+                     seed=seed, interp=interp)
+    save_trajectory(out, traj)
+    write_manifest(Path(out).parent, "sample", params, seed)
+    print(f"wrote {out} ({params['particles']} particles, {len(spec.checkpoints)} checkpoints)")
     return EXIT_OK
 
 
-def _cmd_oracle_jensen(args) -> int:
+def _oracle_jensen(params, seed, out) -> int:
     from .errors import CheckFailedError
     from .gaussian_oracle import GaussianFlowSpec, jensen_gap, typical_shell_point
     from .interpolant import make_interpolant
     from .rng import rng_for
 
-    spec = GaussianFlowSpec(dim=args.dim, data_std=args.data_std)
-    interp = make_interpolant(args.path)
-    rng = rng_for(args.seed, "oracle:jensen")
+    spec = GaussianFlowSpec(dim=params["dim"], data_std=params["data_std"])
+    interp = make_interpolant(params["path"])
+    rng = rng_for(seed, "oracle:jensen")
     rows, failures = [], []
-    for t in _parse_floats(args.t):
+    for t in params["t"]:
         x = typical_shell_point(spec, interp, t)
-        res = jensen_gap(spec, interp, x, t, args.n_mc, rng)
+        res = jensen_gap(spec, interp, x, t, params["n_mc"], rng)
         rows.append((t, res.learned_energy, res.target_energy, res.mc_stderr))
         if not res.is_conclusive:
             failures.append(f"t={t}: inconclusive (gap {res.gap:.4g} vs 3*stderr "
                             f"{3 * res.mc_stderr:.4g})")
         elif not res.deficit_confirmed:
             failures.append(f"t={t}: learned energy did not undershoot the target")
-    _emit(args.out, ("t", "learned_energy", "target_energy", "mc_stderr"), rows)
-    _sidecar_manifest(args.out, "oracle-jensen", _args_config(args), args.seed)
+    _report(out, ("t", "learned_energy", "target_energy", "mc_stderr"), rows,
+            "oracle-jensen", params, seed)
     if failures:
         raise CheckFailedError("; ".join(failures))
     return EXIT_OK
 
 
-def _cmd_oracle_cross_term(args) -> int:
+def _oracle_cross_term(params, seed, out) -> int:
     from .errors import CheckFailedError
     from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample,
                                   cross_term_expectation, marginal_variance)
@@ -332,75 +378,67 @@ def _cmd_oracle_cross_term(args) -> int:
 
     import numpy as np
 
-    spec = GaussianFlowSpec(dim=args.dim, data_std=args.data_std)
+    dim, n_mc = params["dim"], params["n_mc"]
+    spec = GaussianFlowSpec(dim=dim, data_std=params["data_std"])
     interp = LinearPath()
-    rng = rng_for(args.seed, "oracle:cross-term")
+    rng = rng_for(seed, "oracle:cross-term")
     rows, failures = [], []
-    for t in _parse_floats(args.t):
-        x = rng.standard_normal(args.dim) * float(np.sqrt(marginal_variance(spec, interp, t)))
+    for t in params["t"]:
+        x = rng.standard_normal(dim) * float(np.sqrt(marginal_variance(spec, interp, t)))
         closed = cross_term_expectation(spec, interp, x, t)
         if t in (0.0, 1.0):
             rows.append((t, closed, closed, 0.0))
             if closed != 0.0:
                 failures.append(f"t={t}: boundary cross-term not exactly zero")
             continue
-        x0, x1 = conditional_pair_sample(spec, interp, x, t, args.n_mc, rng)
+        x0, x1 = conditional_pair_sample(spec, interp, x, t, n_mc, rng)
         inner = np.einsum("ij,ij->i", x0, x1)
         est = float(inner.mean())
-        se = float(inner.std(ddof=1) / np.sqrt(args.n_mc))
+        se = float(inner.std(ddof=1) / np.sqrt(n_mc))
         rows.append((t, closed, est, se))
         if abs(est - closed) > 3.0 * se:
             failures.append(f"t={t}: closed form and MC disagree beyond 3 stderr")
-    _emit(args.out, ("t", "closed_form", "mc_estimate", "mc_stderr"), rows)
-    _sidecar_manifest(args.out, "oracle-cross-term", _args_config(args),
-                      args.seed)
+    _report(out, ("t", "closed_form", "mc_estimate", "mc_stderr"), rows,
+            "oracle-cross-term", params, seed)
     if failures:
         raise CheckFailedError("; ".join(failures))
     return EXIT_OK
 
 
-def _cmd_oracle_rho(args) -> int:
+def _rho_stats(params, seed, out) -> int:
     from .gaussian_oracle import rho_statistics
 
-    stats = rho_statistics(args.dim, args.pairs, data_std=args.data_std, seed=args.seed)
-    _emit(args.out, ("dim", "mean_rho", "p99_rho", "max_rho"),
-          [(stats.dim, stats.mean, stats.p99, stats.max)])
-    _sidecar_manifest(args.out, "oracle-rho", _args_config(args), args.seed)
+    stats = rho_statistics(params["dim"], params["pairs"], data_std=params["data_std"],
+                           seed=seed)
+    _report(out, ("dim", "mean_rho", "p99_rho", "max_rho"),
+            [(stats.dim, stats.mean, stats.p99, stats.max)], "rho-stats", params, seed)
     return EXIT_OK
 
 
-def _cmd_diagnose_norm(args) -> int:
+def _diagnose_norm(params, seed, out) -> int:
     import numpy as np
 
     from .datasets import make_dataset
     from .diagnostics import norm_profile
     from .errors import ConfigError
 
-    ck, interp, train_config = _load_net(args.checkpoint)
+    ck, interp, train_config = _load_net(params["checkpoint"])
     dataset = make_dataset(train_config["dataset"])
-    parts = args.grid.split(":")
+    parts = params["grid"].split(":")
     if len(parts) != 3:
         raise ConfigError("grid must look like start:stop:count")
     times = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
     profile = norm_profile(ck.net.forward, interp, dataset, times,
-                           n_samples=args.samples, seed=args.seed)
-    stderr = profile.std / np.sqrt(args.samples)
+                           n_samples=params["samples"], seed=seed)
+    stderr = profile.std / np.sqrt(params["samples"])
     rows = list(zip(profile.times, profile.mean, stderr))
-    _emit(args.out, ("t", "value", "stderr"), rows)
-    _sidecar_manifest(args.out, "diagnose-norm", {
-        "checkpoint": str(args.checkpoint), "grid": args.grid,
-        "samples": args.samples}, args.seed)
-    if args.svg is not None:
-        from .svg import write_line_chart
-
-        write_line_chart(args.svg, profile.times,
-                         {"predicted": profile.mean, "target": profile.target_rms},
-                         title="velocity norm profile", xlabel="t", ylabel="mean norm")
-        print(f"wrote {args.svg}")
+    _report(out, ("t", "value", "stderr"), rows, "diagnose-norm", params, seed)
+    _chart(params["svg"], profile.times, {"predicted": profile.mean, "target": profile.target_rms},
+           "velocity norm profile", "mean norm")
     return EXIT_OK
 
 
-def _cmd_diagnose_fld(args) -> int:
+def _diagnose_fld(params, seed, out) -> int:
     import hashlib
 
     from .diagnostics import split_half_fld, track_fld
@@ -409,35 +447,29 @@ def _cmd_diagnose_fld(args) -> int:
 
     import numpy as np
 
-    traj = load_trajectory(args.traj)
-    reference, ref_id = _parse_reference(args.reference, args.reference_samples, args.seed)
-    report = track_fld(traj, reference, reference_id=ref_id, verify=args.verify)
+    traj = load_trajectory(params["traj"])
+    reference, ref_id = _parse_reference(params["reference"], params["reference_samples"],
+                                         seed)
+    report = track_fld(traj, reference, reference_id=ref_id, verify=params["verify"])
     # noise floor from a same-size synthetic draw against itself
-    rng = rng_for(args.seed, "fld:floor")
+    rng = rng_for(seed, "fld:floor")
     n = report.n_samples
     chol = np.linalg.cholesky(reference.cov + 1e-12 * np.eye(reference.dim))
     synth = reference.mean + rng.standard_normal((2 * n, reference.dim)) @ chol.T
     floor = split_half_fld(synth)
     rows = [(t, v, floor) for t, v in zip(report.times, report.values)]
-    _emit(args.out, ("t", "value", "split_half_floor"), rows)
-    if args.out is not None:
+    _report(out, ("t", "value", "split_half_floor"), rows, "diagnose-fld", params, seed)
+    if out is not None:
         # the reference travels with the CSV: a shared directory manifest can be overwritten
         digest = hashlib.sha256(reference.mean.tobytes() + reference.cov.tobytes()).hexdigest()
-        meta = {"reference": args.reference, "reference_id": f"{ref_id}:{digest[:16]}"}
-        Path(f"{args.out}.json").write_text(json.dumps(meta, indent=2) + "\n")
-    _sidecar_manifest(args.out, "diagnose-fld", {
-        "traj": str(args.traj), "reference": args.reference,
-        "split_half_floor": floor}, args.seed)
-    if args.svg is not None:
-        from .svg import write_line_chart
-
-        write_line_chart(args.svg, list(report.times), {"fld": list(report.values)},
-                         title=f"distance to target ({ref_id})", xlabel="t", ylabel="FLD")
-        print(f"wrote {args.svg}")
+        meta = {"reference": params["reference"], "reference_id": f"{ref_id}:{digest[:16]}"}
+        Path(f"{out}.json").write_text(json.dumps(meta, indent=2) + "\n")
+    _chart(params["svg"], list(report.times), {"fld": list(report.values)},
+           f"distance to target ({ref_id})", "FLD")
     return EXIT_OK
 
 
-def _cmd_diagnose_lag(args) -> int:
+def _diagnose_lag(params, seed, out) -> int:
     import numpy as np
 
     from .diagnostics import FldReport, lag_improvement
@@ -450,11 +482,12 @@ def _cmd_diagnose_lag(args) -> int:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    refs = [reference_of(path) for path in (args.baseline, args.corrected)]
+    base_path, corr_path = params["baseline"], params["corrected"]
+    refs = [reference_of(path) for path in (base_path, corr_path)]
     if None in refs or refs[0] != refs[1]:
         raise ConfigError(
-            f"{args.baseline} and {args.corrected} must carry the same reference in their "
-            f"'diagnose fld' sidecars ({args.baseline}.json, {args.corrected}.json); "
+            f"{base_path} and {corr_path} must carry the same reference in their "
+            f"'diagnose fld' sidecars ({base_path}.json, {corr_path}.json); "
             f"found {refs[0]!r} and {refs[1]!r}")
 
     def load_report(path, reference_id):
@@ -463,79 +496,62 @@ def _cmd_diagnose_lag(args) -> int:
         values = np.array([float(r[1]) for r in rows])
         return FldReport(times=times, values=values, reference_id=reference_id, n_samples=0)
 
-    baseline = load_report(args.baseline, refs[0])
-    corrected = load_report(args.corrected, refs[1])
+    baseline = load_report(base_path, refs[0])
+    corrected = load_report(corr_path, refs[1])
     deltas = lag_improvement(baseline, corrected)
-    _emit(args.out, ("t", "value"), list(zip(baseline.times, deltas)))
-    _sidecar_manifest(args.out, "diagnose-lag",
-                      {"baseline": str(args.baseline), "corrected": str(args.corrected)}, 0)
+    _report(out, ("t", "value"), list(zip(baseline.times, deltas)), "diagnose-lag", params,
+            seed)
     return EXIT_OK
 
 
-def _cmd_lag_sweep(args) -> int:
-    config = {
-        "checkpoint": str(args.checkpoint),
-        "nfe": [int(v) for v in _parse_floats(args.nfe)],
-        "s_start": _parse_floats(args.s_start),
-        "extra_rows": args.extra_rows,
-        "method": args.method,
-        "particles": args.particles,
-        "floor_nfe": args.floor_nfe,
-        "require_lag_ratio": args.require_lag_ratio,
-        "checkpoints": _parse_floats(args.checkpoints),
-        "seed": args.seed,
-    }
-    return run_lag_sweep(config, Path(args.out))
-
-
-def run_lag_sweep(config: dict, out_dir: Path) -> int:
+def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     """Cross product of step budgets and injection scales, with a
     high-step floor run; returns the overshoot exit code when no
-    s_start > 1 strictly improves the terminal distance."""
+    s_start > 1 strictly improves the terminal distance.
+
+    Below the s_start rows come two contrasts: the same injection at the
+    end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05)."""
     from .errors import CheckFailedError
     from .diagnostics import track_fld
     from .reporting import write_csv, write_manifest
     from .solver import ScaleSchedule, SolverSpec, integrate
 
-    ck, interp, train_config = _load_net(config["checkpoint"])
-    reference, ref_id = _reference_for(train_config["dataset"], 8192, config["seed"])
+    ck, interp, train_config = _load_net(params["checkpoint"])
+    reference, ref_id = _reference_for(train_config["dataset"], 8192, seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, "lag-sweep", config, config["seed"])
+    write_manifest(out_dir, "lag-sweep", params, seed)
 
-    checkpoints = tuple(config["checkpoints"])
+    checkpoints = tuple(params["checkpoints"])
     schedules = [("baseline", ScaleSchedule("linear", 1.0, 1.0))]
     schedules += [(f"linear:{s:g}:1.0", ScaleSchedule("linear", s, 1.0))
-                  for s in config["s_start"] if s != 1.0]
-    if config["extra_rows"]:
-        schedules.append(("linear:1.0:1.1", ScaleSchedule("linear", 1.0, 1.1)))
-        schedules.append(("linear:1.05:1.05", ScaleSchedule("linear", 1.05, 1.05)))
+                  for s in params["s_start"] if s != 1.0]
+    schedules.append(("linear:1.0:1.1", ScaleSchedule("linear", 1.0, 1.1)))
+    schedules.append(("linear:1.05:1.05", ScaleSchedule("linear", 1.05, 1.05)))
 
     def run_cell(nfe, schedule):
-        spec = SolverSpec(method=config["method"], nfe=nfe, schedule=schedule,
+        spec = SolverSpec(method=params["method"], nfe=nfe, schedule=schedule,
                           checkpoints=checkpoints)
         traj = integrate(ck.net.forward, spec, dim=ck.net.dim,
-                         n_particles=config["particles"], seed=config["seed"],
-                         interp=interp)
+                         n_particles=params["particles"], seed=seed, interp=interp)
         return track_fld(traj, reference, reference_id=ref_id)
 
-    floor_report = run_cell(config["floor_nfe"], ScaleSchedule("linear", 1.0, 1.0))
+    floor_report = run_cell(params["floor_nfe"], ScaleSchedule("linear", 1.0, 1.0))
     header = ["nfe", "label", "s_start", "s_end"] + [f"fld_at_{t:g}" for t in checkpoints]
-    rows = [[config["floor_nfe"], "floor", 1.0, 1.0] + list(floor_report.values)]
+    rows = [[params["floor_nfe"], "floor", 1.0, 1.0] + list(floor_report.values)]
     results = {}
-    for nfe in config["nfe"]:
+    for nfe in params["nfe"]:
         for label, schedule in schedules:
-            report = run_cell(int(nfe), schedule)
-            results[(int(nfe), label)] = report
-            rows.append([int(nfe), label, schedule.s_start, schedule.s_end]
-                        + list(report.values))
+            report = run_cell(nfe, schedule)
+            results[(nfe, label)] = report
+            rows.append([nfe, label, schedule.s_start, schedule.s_end] + list(report.values))
     write_csv(out_dir / "lag_sweep.csv", header, rows)
 
     summary_lines = [f"reference: {ref_id}",
-                     f"floor (nfe={config['floor_nfe']}): terminal FLD "
+                     f"floor (nfe={params['floor_nfe']}): terminal FLD "
                      f"{floor_report.terminal:.6g}"]
     exit_code = EXIT_OK
-    primary_nfe = int(config["nfe"][0])
+    primary_nfe = params["nfe"][0]
     baseline = results[(primary_nfe, "baseline")]
     ratio = baseline.terminal / max(floor_report.terminal, 1e-300)
     summary_lines.append(f"baseline (nfe={primary_nfe}): terminal FLD "
@@ -558,7 +574,7 @@ def run_lag_sweep(config: dict, out_dir: Path) -> int:
     print("\n".join(summary_lines))
     print(f"wrote {out_dir / 'lag_sweep.csv'}")
 
-    required = config.get("require_lag_ratio")
+    required = params["require_lag_ratio"]
     if required is not None and ratio < required:
         raise CheckFailedError(
             f"baseline terminal FLD is only {ratio:.2f}x the discretization floor "
@@ -566,94 +582,73 @@ def run_lag_sweep(config: dict, out_dir: Path) -> int:
     return exit_code
 
 
-def _cmd_schedule_calibrate(args) -> int:
+def _schedule_calibrate(params, seed, out) -> int:
     from .solver import ScaleSchedule, calibrate_s_start
 
-    s_start = calibrate_s_start(args.shape, s_end=args.s_end, target_area=args.area)
-    check = ScaleSchedule(args.shape, s_start, args.s_end).area()
+    shape, s_end = params["shape"], params["s_end"]
+    s_start = calibrate_s_start(shape, s_end=s_end, target_area=params["area"])
+    check = ScaleSchedule(shape, s_start, s_end).area()
     print(f"s_start = {s_start:.10g}")
-    print(f"area({args.shape}, {s_start:.10g} -> {args.s_end:g}) = {check:.10g}")
+    print(f"area({shape}, {s_start:.10g} -> {s_end:g}) = {check:.10g}")
     return EXIT_OK
 
 
-EXPERIMENTS = ("train", "sample", "oracle-jensen", "oracle-cross-term", "rho-stats",
-               "diagnose-norm", "diagnose-fld", "diagnose-lag", "lag-sweep",
-               "schedule-calibrate")
+# -- the experiment table ---------------------------------------------------
 
+_CHECKPOINT = Param("checkpoint", "path")
+_METHOD = Param("method", "str", "euler", choices=("euler", "heun", "euler-maruyama"))
+_PARTICLES = Param("particles", "int", 8192)
+_RECORD_TIMES = Param("checkpoints", "floats", (0.2, 0.4, 0.6, 0.8, 1.0),
+                      help="comma-separated recording times")
+_DIM = Param("dim", "int")
+_DATA_STD = Param("data_std", "float", 1.0)
+_N_MC = Param("n_mc", "int", 100_000)
+_SVG = Param("svg", "path", None)
 
-def _cmd_run(args) -> int:
-    """Dispatch one experiment from a JSON document (strict schema)."""
-    from .errors import ConfigError
-
-    raw = json.loads(Path(args.config).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    allowed = {"experiment", "name", "out_dir", "seed", "verify", "spec"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown experiment fields: {sorted(unknown)}")
-    for required in ("experiment", "out_dir", "spec"):
-        if required not in raw:
-            raise ConfigError(f"experiment config requires {required!r}")
-    experiment = raw["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    out_dir = Path(raw["out_dir"])
-    seed = int(raw.get("seed", 0))
-    spec = raw["spec"]
-    if not isinstance(spec, dict):
-        raise ConfigError("'spec' must be a JSON object")
-
-    argv_map = {
-        "sample": "sample", "oracle-jensen": "oracle jensen",
-        "oracle-cross-term": "oracle cross-term", "rho-stats": "oracle rho",
-        "diagnose-norm": "diagnose norm", "diagnose-fld": "diagnose fld",
-        "diagnose-lag": "diagnose lag", "schedule-calibrate": "schedule-calibrate",
-    }
-    if experiment == "train":
-        from .reporting import write_manifest
-        from .training import TrainConfig, train
-
-        config = TrainConfig.from_dict({**spec, "seed": seed})
-        write_manifest(out_dir, "train", config.to_dict(), seed)
-        result = train(config, out_dir=out_dir)
-        print(f"checkpoint: {result.checkpoint_path}")
-        return EXIT_OK
-    if experiment == "lag-sweep":
-        defaults = {"nfe": [10], "s_start": [1.0, 1.05, 1.1, 1.15, 1.2],
-                    "extra_rows": True, "method": "euler", "particles": 8192,
-                    "floor_nfe": 500, "require_lag_ratio": None,
-                    "checkpoints": [0.2, 0.4, 0.6, 0.8, 1.0]}
-        unknown = set(spec) - set(defaults) - {"checkpoint"}
-        if unknown:
-            raise ConfigError(f"unknown lag-sweep fields: {sorted(unknown)}")
-        if "checkpoint" not in spec:
-            raise ConfigError("lag-sweep requires 'checkpoint'")
-        return run_lag_sweep({**defaults, **spec, "seed": seed}, out_dir)
-
-    # remaining experiments reuse the flag-based entry points
-    out_dir.mkdir(parents=True, exist_ok=True)
-    argv = argv_map[experiment].split()
-    for key, value in spec.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, list):
-            argv.extend([flag, ",".join(str(v) for v in value)])
-        else:
-            argv.extend([flag, str(value)])
-    no_seed = {"schedule-calibrate", "diagnose-lag"}
-    no_out = {"schedule-calibrate"}
-    if experiment not in no_seed:
-        argv.extend(["--seed", str(seed)])
-    if experiment not in no_out and "out" not in spec:
-        argv.extend(["--out", str(out_dir / f"{experiment}.csv")])
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse rejects unknown spec fields with code 2
-        return int(exc.code or 0)
-
+EXPERIMENTS = {exp.name: exp for exp in (
+    Experiment("train", "train", "train a velocity network from a JSON config", _train, None,
+               out="dir"),
+    Experiment("sample", "sample", "integrate particles from a trained checkpoint", _sample, (
+        _CHECKPOINT, Param("nfe", "int", 50),
+        Param("schedule", "str", "constant-one", help="shape:s_start:s_end, e.g. linear:1.1:1.0"),
+        _METHOD, _PARTICLES, _RECORD_TIMES), out="bin"),
+    Experiment("oracle-jensen", "oracle jensen", "learned vs target kinetic energy",
+               _oracle_jensen, (
+        _DIM, _DATA_STD, Param("path", "str", "linear"),
+        Param("t", "floats", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)), _N_MC)),
+    Experiment("oracle-cross-term", "oracle cross-term",
+               "conditional cross-term, closed form vs MC", _oracle_cross_term, (
+        _DIM, _DATA_STD, Param("t", "floats", (0.25, 0.5, 0.75)), _N_MC)),
+    Experiment("rho-stats", "oracle rho", "relative cross-term concentration statistics",
+               _rho_stats, (_DIM, Param("pairs", "int", 50_000), _DATA_STD)),
+    Experiment("diagnose-norm", "diagnose norm", "velocity-norm profile of a checkpoint",
+               _diagnose_norm, (
+        _CHECKPOINT, Param("grid", "str", "0.05:0.95:19", help="start:stop:count"),
+        Param("samples", "int", 4096), _SVG)),
+    Experiment("diagnose-fld", "diagnose fld", "distance to target at trajectory checkpoints",
+               _diagnose_fld, (
+        Param("traj", "path"),
+        Param("reference", "str", help="'gaussian:DIM:STD' or a dataset JSON block"),
+        Param("reference_samples", "int", 8192),
+        Param("verify", "bool", False, help="check sqrtm reconstructions at runtime"), _SVG)),
+    Experiment("diagnose-lag", "diagnose lag", "relative improvement between two FLD reports",
+               _diagnose_lag, (Param("baseline", "path"), Param("corrected", "path")),
+               seeded=False),
+    # calls the module attribute, so a wrapper installed on cli.run_lag_sweep sees each sweep
+    Experiment("lag-sweep", "lag-sweep", "terminal-distance sweep over injection scales",
+               lambda params, seed, out: run_lag_sweep(params, seed, out), (
+        _CHECKPOINT, Param("nfe", "ints", (10,), help="comma-separated step budgets"),
+        Param("s_start", "floats", (1.0, 1.05, 1.1, 1.15, 1.2)), _METHOD, _PARTICLES,
+        Param("floor_nfe", "int", 500),
+        Param("require_lag_ratio", "float", None,
+              help="fail (exit 3) unless baseline terminal distance exceeds the floor "
+                   "by this factor"),
+        _RECORD_TIMES), out="dir"),
+    Experiment("schedule-calibrate", "schedule-calibrate", "solve s_start for a target area",
+               _schedule_calibrate, (
+        Param("shape", "str"), Param("area", "float"), Param("s_end", "float", 1.0)),
+               out=None, seeded=False),
+)}
 
 if __name__ == "__main__":
     sys.exit(main())

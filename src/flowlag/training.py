@@ -1,11 +1,12 @@
 """Velocity-regression objectives and the training loop.
 
-Two losses are available: the plain squared-error regression of the path
-target velocity, and the magnitude-aware variant that adds a decaying
-penalty on the gap between the predicted speed and the sample transport
-distance ||x1 - x0||.  Noise/data pairs are always coupled positionally
-from independently drawn streams; no data-dependent pairing exists
-anywhere in this module.
+One loss serves both objectives: the squared-error regression of the
+path target velocity plus a decaying penalty on the gap between the
+predicted speed and the sample transport distance ||x1 - x0||.  With
+lam0 = 0 the penalty vanishes and the loss is the plain regression
+("fm").  Noise/data pairs are always coupled positionally from
+independently drawn streams; no data-dependent pairing exists anywhere
+in this module.
 """
 
 from __future__ import annotations
@@ -74,22 +75,9 @@ def _check_batch(x0, x1, t):
     return x0, x1, t
 
 
-def fm_loss(net: Mlp, interp, x0, x1, t):
-    """Mean over the batch of ||v_net(x_t, t) - v_target||^2, with gradients."""
-    x0, x1, t = _check_batch(x0, x1, t)
-    b = x0.shape[0]
-    xt = interp.sample_xt(x0, x1, t)
-    target = interp.target_velocity(x0, x1, t)
-    out, cache = net.forward_cached(xt, t)
-    resid = out - target
-    loss = float(np.einsum("ij,ij->", resid, resid) / b)
-    grads = net.backward(cache, (2.0 / b) * resid)
-    return loss, grads, LossBreakdown(fm_term=loss)
-
-
 def mafm_loss(net: Mlp, interp, x0, x1, t, lam0: float = 0.2, shape: str = "linear",
               magnitude_target: str = "displacement"):
-    """Regression loss plus weighted squared speed error.
+    """Mean of ||v_net(x_t, t) - v_target||^2 plus the weighted squared speed error.
 
     The speed target is ||x1 - x0|| per sample (the transport distance)
     regardless of path; set magnitude_target="path" to use the
@@ -215,6 +203,7 @@ def train(config: TrainConfig, out_dir=None) -> TrainResult:
                      n_time_pairs=config.n_time_pairs, dtype=dtype)
     opt = Adam(lr=config.learning_rate)
     batch_rng = rng_for(config.seed, "batch")
+    lam0 = config.lam0 if config.loss == "mafm" else 0.0
 
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -229,12 +218,9 @@ def train(config: TrainConfig, out_dir=None) -> TrainResult:
             frac = (step - 1) / max(config.steps - 1, 1)
             opt.lr = config.learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + np.cos(np.pi * frac)))
         x0, x1, t = sample_batch(dataset, interp, config.batch_size, batch_rng)
-        if config.loss == "fm":
-            loss, grads, parts = fm_loss(net, interp, x0, x1, t)
-        else:
-            loss, grads, parts = mafm_loss(net, interp, x0, x1, t, lam0=config.lam0,
-                                           shape=config.mafm_shape,
-                                           magnitude_target=config.magnitude_target)
+        loss, grads, parts = mafm_loss(net, interp, x0, x1, t, lam0=lam0,
+                                       shape=config.mafm_shape,
+                                       magnitude_target=config.magnitude_target)
         if not np.isfinite(loss):
             snapshot = _divergence_snapshot(net, step, parts)
             if out_dir is not None:

@@ -46,7 +46,7 @@ from flowlag.solver import (
     integrate,
     scaled_velocity,
 )
-from flowlag.training import TrainConfig, fm_loss, mafm_loss, train
+from flowlag.training import TrainConfig, mafm_loss, train
 
 SEED = 0
 DIM = 64
@@ -268,7 +268,7 @@ def test_criterion_07_gradient_checks():
     interp = LinearPath()
     clauses = []
     for label, loss_fn in (
-        ("fm", lambda: fm_loss(net, interp, x0, x1, t)),
+        ("fm", lambda: mafm_loss(net, interp, x0, x1, t, lam0=0.0)),
         ("mafm", lambda: mafm_loss(net, interp, x0, x1, t, lam0=0.2)),
     ):
         _, grads, _ = loss_fn()

@@ -1,8 +1,10 @@
 """End-to-end command behavior: artifacts, exit codes, manifests."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +36,11 @@ class TestScheduleCalibrate:
                                             (AssertionError, EXIT_RUNTIME)])
     def test_only_failed_checks_exit_3(self, monkeypatch, capsys, error, code):
         """A failed verification exits 3; an internal assertion is a fault, exit 4."""
-        def fail(args):
+        def fail(params, seed, out):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "_cmd_schedule_calibrate", fail)
+        entry = cli.EXPERIMENTS["schedule-calibrate"]
+        monkeypatch.setitem(cli.EXPERIMENTS, entry.name, dataclasses.replace(entry, func=fail))
         assert run_cli("schedule-calibrate", "--shape", "linear", "--area", "1.05") == code
         assert "boom" in capsys.readouterr().err
 
@@ -254,6 +257,148 @@ class TestRunExperiment:
         cfg = tmp_path / "exp.json"
         cfg.write_text("{not json")
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("experiment", ["train", "lag-sweep", "rho-stats"])
+    def test_seed_inside_spec_exits_2(self, tiny_run, tmp_path, experiment):
+        """The envelope holds the only seed; a spec that carries one is refused."""
+        spec = {"train": {"dataset": {"kind": "gaussian", "dim": 4}, "steps": 5},
+                "lag-sweep": {"checkpoint": str(tiny_run.checkpoint_path)},
+                "rho-stats": {"dim": 8}}[experiment]
+        cfg = tmp_path / "exp.json"
+        out_dir = tmp_path / "never"
+        cfg.write_text(json.dumps({"experiment": experiment, "out_dir": str(out_dir),
+                                   "spec": {**spec, "seed": 5}}))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("field", ["verify", "name"])
+    def test_dropped_envelope_fields_exit_2(self, tmp_path, field):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "rho-stats", "out_dir": str(tmp_path / "o"),
+                                   "spec": {"dim": 8}, field: True}))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", [{"nfe": "25"}, {"s_start": 1.1}, {"nfe": [10.7]},
+                                     {"particles": True}, ["--nfe", "10.7"]])
+    def test_ill_typed_lag_sweep_fields_exit_2(self, tiny_run, tmp_path, bad):
+        """A spec field of the wrong JSON type, or a flag that does not parse as its type."""
+        out_dir = tmp_path / "sweep"
+        spec = {"checkpoint": str(tiny_run.checkpoint_path), "particles": 64, "floor_nfe": 10}
+        if isinstance(bad, list):
+            argv = ["lag-sweep", "--checkpoint", spec["checkpoint"], *bad, "--out", str(out_dir)]
+        else:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps({"experiment": "lag-sweep", "out_dir": str(out_dir),
+                                       "spec": {**spec, **bad}}))
+            argv = ["run", "--config", str(cfg)]
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse rejects a bad flag value
+            code = exc.code
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def fld_inputs(tiny_run, tmp_path_factory):
+    """A trajectory and two 'diagnose fld' reports of the tiny run, with their sidecars."""
+    root = tmp_path_factory.mktemp("fld_inputs")
+    ck = str(tiny_run.checkpoint_path)
+    reports = []
+    for name, schedule in (("base", "constant-one"), ("corr", "linear:1.1:1.0")):
+        traj, csv = root / f"{name}.bin", root / f"{name}.csv"
+        assert main(["sample", "--checkpoint", ck, "--nfe", "6", "--schedule", schedule,
+                     "--particles", "64", "--out", str(traj)]) == EXIT_OK
+        assert main(["diagnose", "fld", "--traj", str(traj), "--reference", "gaussian:4:1.0",
+                     "--out", str(csv)]) == EXIT_OK
+        reports.append(str(csv))
+    return str(root / "base.bin"), reports
+
+
+def _flag_argv(spec: dict) -> list:
+    argv = []
+    for key, value in spec.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, ",".join(str(v) for v in value)]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+def _artifacts(root: Path) -> dict:
+    """Relative path -> bytes; a checkpoint by its members, since zip entries carry a time."""
+    found = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if path.suffix == ".npz":
+            with zipfile.ZipFile(path) as z:
+                found[str(path.relative_to(root))] = {n: z.read(n) for n in z.namelist()}
+        else:
+            found[str(path.relative_to(root))] = path.read_bytes()
+    return found
+
+
+class TestFlagsMatchRun:
+    """Every experiment writes the same artifacts from flags and from a run spec."""
+
+    @staticmethod
+    def specs(ck, traj, reports):
+        return {
+            "train": {"dataset": {"kind": "gaussian", "dim": 4}, "steps": 20, "batch_size": 16,
+                      "hidden": [8], "log_every": 10, "loss": "mafm"},
+            "sample": {"checkpoint": ck, "nfe": 4, "schedule": "linear:1.1:1.0",
+                       "method": "heun", "particles": 32, "checkpoints": [0.5, 1]},
+            "oracle-jensen": {"dim": 4, "t": [0.5], "n_mc": 20000},
+            "oracle-cross-term": {"dim": 4, "t": [0.0, 0.5], "n_mc": 2000},
+            "rho-stats": {"dim": 16, "pairs": 10000, "data_std": 2},
+            "diagnose-norm": {"checkpoint": ck, "grid": "0.2:0.8:3", "samples": 1000},
+            "diagnose-fld": {"traj": traj, "reference": "gaussian:4:1.0", "verify": True},
+            "diagnose-lag": {"baseline": reports[0], "corrected": reports[1]},
+            "lag-sweep": {"checkpoint": ck, "nfe": [4, 6], "s_start": [1.0, 1.1],
+                          "particles": 32, "floor_nfe": 8, "checkpoints": [0.5, 1.0]},
+            "schedule-calibrate": {"shape": "quad-in", "area": 1.05},
+        }
+
+    @pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
+    def test_same_artifacts(self, name, tiny_run, fld_inputs, tmp_path, capsys):
+        exp = cli.EXPERIMENTS[name]
+        spec = self.specs(str(tiny_run.checkpoint_path), *fld_inputs)[name]
+        seed = 3 if exp.seeded else 0
+        flag_dir, run_dir = tmp_path / "flags", tmp_path / "run"
+        flag_dir.mkdir()
+        if exp.params is None:
+            config = tmp_path / "train.json"
+            config.write_text(json.dumps({**spec, "seed": seed}))
+            argv = ["--config", str(config)]
+        else:
+            argv = _flag_argv(spec) + (["--seed", str(seed)] if exp.seeded else [])
+        if exp.out == "dir":
+            argv += ["--out", str(flag_dir)]
+        elif exp.out is not None:
+            argv += ["--out", str(flag_dir / f"{name}.{exp.out}")]
+        flag_code = main([*exp.command.split(), *argv])
+        flag_stdout = capsys.readouterr().out.replace(str(flag_dir), "OUT")
+
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": name, "out_dir": str(run_dir), "seed": seed,
+                                   "spec": spec}))
+        assert main(["run", "--config", str(cfg)]) == flag_code
+        assert capsys.readouterr().out.replace(str(run_dir), "OUT") == flag_stdout
+        assert flag_code in (EXIT_OK, EXIT_OVERSHOOT)
+
+        if exp.out is None:
+            assert not run_dir.exists()
+            return
+        artifacts = _artifacts(flag_dir)
+        assert _artifacts(run_dir) == artifacts
+        manifest = json.loads(artifacts["manifest.json"])
+        assert manifest["experiment"] == name
+        assert manifest["seed"] == seed
+        if exp.out in ("bin", "csv"):
+            assert f"{name}.{exp.out}" in artifacts
 
 
 class TestConsoleScript:

@@ -8,7 +8,6 @@ from flowlag.interpolant import LinearPath, make_interpolant
 from flowlag.nn import Mlp
 from flowlag.training import (
     TrainConfig,
-    fm_loss,
     mafm_loss,
     mafm_weight,
     sample_batch,
@@ -67,7 +66,7 @@ class TestFmLoss:
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = 0.0
         x0, x1, t = tiny_batch()
-        loss, _, parts = fm_loss(net, LINEAR, x0, x1, t)
+        loss, _, parts = mafm_loss(net, LINEAR, x0, x1, t, lam0=0.0)
         expected = float(np.mean(np.sum((x1 - x0) ** 2, axis=1)))
         np.testing.assert_allclose(loss, expected, rtol=1e-12)
         assert parts.magnitude_term == 0.0
@@ -75,7 +74,7 @@ class TestFmLoss:
     def test_matches_explicit_loop(self):
         net = tiny_net(seed=4)
         x0, x1, t = tiny_batch(seed=5)
-        loss, _, _ = fm_loss(net, LINEAR, x0, x1, t)
+        loss, _, _ = mafm_loss(net, LINEAR, x0, x1, t, lam0=0.0)
         acc = 0.0
         for i in range(len(t)):
             xt = LINEAR.sample_xt(x0[i], x1[i], t[i])
@@ -86,12 +85,13 @@ class TestFmLoss:
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            fm_loss(tiny_net(), LINEAR, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+            mafm_loss(tiny_net(), LINEAR, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0),
+                      lam0=0.0)
 
     def test_gradients_match_finite_differences(self):
         net = tiny_net(seed=6)
         x0, x1, t = tiny_batch(seed=7)
-        _, grads, _ = fm_loss(net, LINEAR, x0, x1, t)
+        _, grads, _ = mafm_loss(net, LINEAR, x0, x1, t, lam0=0.0)
         rng = np.random.default_rng(8)
         for key in sorted(grads):
             p = net.parameters()[key]
@@ -99,9 +99,9 @@ class TestFmLoss:
             eps = 1e-6
             orig = p.flat[idx]
             p.flat[idx] = orig + eps
-            up, _, _ = fm_loss(net, LINEAR, x0, x1, t)
+            up, _, _ = mafm_loss(net, LINEAR, x0, x1, t, lam0=0.0)
             p.flat[idx] = orig - eps
-            down, _, _ = fm_loss(net, LINEAR, x0, x1, t)
+            down, _, _ = mafm_loss(net, LINEAR, x0, x1, t, lam0=0.0)
             p.flat[idx] = orig
             fd = (up - down) / (2 * eps)
             assert abs(grads[key].flat[idx] - fd) <= 1e-4 * max(1.0, abs(fd))
@@ -115,7 +115,7 @@ class TestMafmLoss:
         x1 = rng.standard_normal((6, 3))
         t = np.ones(6)
         total, _, parts = mafm_loss(net, LINEAR, x0, x1, t, lam0=0.2)
-        fm_only, _, _ = fm_loss(net, LINEAR, x0, x1, t)
+        fm_only, _, _ = mafm_loss(net, LINEAR, x0, x1, t, lam0=0.0)
         np.testing.assert_allclose(total, fm_only, rtol=1e-15)
         assert parts.magnitude_term == 0.0
 
