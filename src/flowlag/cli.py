@@ -77,13 +77,19 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class Param:
-    """One experiment parameter: flag ``--name-with-dashes``, spec key ``name``."""
+    """One experiment parameter: flag ``--name-with-dashes``, spec key ``name``.
+
+    ``type`` is int, float, str or bool (dict for the run envelope's spec).
+    A ``many`` parameter is a list: comma-separated text as a flag, a JSON
+    list in a spec.
+    """
 
     name: str
-    type: str                 # a key of _TYPES
+    type: type
     default: object = _REQUIRED
     help: str | None = None
     choices: tuple | None = None
+    many: bool = False
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,7 @@ class Experiment:
     ``params`` is None for train, whose spec is a train config.  ``out`` is
     "dir" (a directory), "bin" or "csv" (a file; a CSV without --out goes
     to stdout) or None; run writes a file output to <out_dir>/<name>.<out>.
+    An experiment that is not ``seeded`` takes no seed.
     """
 
     name: str
@@ -104,33 +111,16 @@ class Experiment:
     seeded: bool = True
 
 
-def _ints(text: str) -> list:
-    return [int(v) for v in text.split(",") if v != ""]
+_SEED = Param("seed", int, 0)
+_ENVELOPE = (Param("experiment", str), Param("out_dir", str), _SEED, Param("spec", dict))
 
 
-def _floats(text: str) -> list:
-    return [float(v) for v in text.split(",") if v != ""]
-
-
-# parameter type -> (parser of its flag text, JSON type of its value or items, list-valued);
-# lists are comma-separated text as flags and JSON lists in a spec
-_TYPES = {
-    "int": (int, int, False), "float": (float, float, False), "str": (str, str, False),
-    "path": (str, str, False), "bool": (None, bool, False), "object": (None, dict, False),
-    "ints": (_ints, int, True), "floats": (_floats, float, True),
-}
-
-_SEED = Param("seed", "int", 0)
-_ENVELOPE = (Param("experiment", "str"), Param("out_dir", "path"), _SEED,
-             Param("spec", "object"))
-
-
-def _json_item(value, want: type):
-    """``value`` as ``want``: a JSON integer serves as a float, a boolean only as a bool."""
-    if (not isinstance(value, (int, float) if want is float else want)
-            or (isinstance(value, bool) and want is not bool)):
+def _typed(value, p: Param):
+    """A JSON value as ``p.type``: an integer serves as a float, a boolean only as a bool."""
+    if (not isinstance(value, (int, float) if p.type is float else p.type)
+            or isinstance(value, bool) is not (p.type is bool)):
         raise TypeError
-    return want(value)
+    return p.type(value)
 
 
 def _validated(what: str, params: tuple, spec) -> dict:
@@ -144,22 +134,20 @@ def _validated(what: str, params: tuple, spec) -> dict:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
     out = {}
     for p in params:
-        if p.name not in spec:
-            if p.default is _REQUIRED:
-                raise ConfigError(f"{what} requires {p.name!r}")
-            out[p.name] = p.default
-            continue
-        value, (_, want, listed) = spec[p.name], _TYPES[p.type]
-        try:
-            if listed and not isinstance(value, list):
-                raise TypeError
-            if value is not None or p.default is not None:
-                value = [_json_item(v, want) for v in value] if listed else _json_item(value, want)
-        except TypeError:
-            raise ConfigError(f"{what} field {p.name!r} must be of type {p.type}, "
-                              f"got {spec[p.name]!r}") from None
-        if p.choices and value not in p.choices:
-            raise ConfigError(f"{what} field {p.name!r} must be one of {p.choices}")
+        value = spec.get(p.name, p.default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{what} requires {p.name!r}")
+        if p.name in spec and not (value is None and p.default is None):
+            try:
+                if p.many and not isinstance(value, list):
+                    raise TypeError
+                value = [_typed(v, p) for v in value] if p.many else _typed(value, p)
+            except TypeError:
+                kind = f"list of {p.type.__name__}" if p.many else p.type.__name__
+                raise ConfigError(f"{what} field {p.name!r} must be a {kind}, "
+                                  f"got {spec[p.name]!r}") from None
+            if p.choices and value not in p.choices:
+                raise ConfigError(f"{what} field {p.name!r} must be one of {p.choices}")
         out[p.name] = value
     return out
 
@@ -172,11 +160,17 @@ _OUT_HELP = {"dir": "artifact directory", "bin": "trajectory file (binary)",
 
 def _add_flag(parser, p: Param) -> None:
     flag = "--" + p.name.replace("_", "-")
-    if p.type == "bool":
+    if p.type is bool:
         parser.add_argument(flag, action="store_true", help=p.help)
         return
+
+    def parse_list(text):
+        return [p.type(v) for v in text.split(",") if v]
+
+    parse_list.__name__ = f"comma-separated {p.type.__name__}"  # argparse errors name it
     value = {"required": True} if p.default is _REQUIRED else {"default": p.default}
-    parser.add_argument(flag, type=_TYPES[p.type][0], choices=p.choices, help=p.help, **value)
+    parser.add_argument(flag, type=parse_list if p.many else p.type, choices=p.choices,
+                        help=p.help, **value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,12 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command")
             where = groups[words[0]]
         p = where.add_parser(words[-1], help=exp.help)
-        if exp.params is None:
+        if exp.params is None:  # train: the seed is a field of its config file
             p.add_argument("--config", required=True, type=Path)
-        for param in exp.params or ():
-            _add_flag(p, param)
-        if exp.seeded:
-            _add_flag(p, _SEED)
+        else:
+            for param in exp.params + ((_SEED,) if exp.seeded else ()):
+                _add_flag(p, param)
         if exp.out is not None:
             p.add_argument("--out", required=exp.out != "csv", type=Path,
                            help=_OUT_HELP[exp.out])
@@ -239,6 +232,8 @@ def _cmd_run(args) -> int:
     spec = env["spec"]
     if "seed" in spec:
         raise ConfigError("the seed belongs in the experiment config, not in 'spec'")
+    if not exp.seeded and env["seed"] != _SEED.default:
+        raise ConfigError(f"{exp.name} takes no seed")
     params = spec if exp.params is None else _validated(exp.name, exp.params, spec)
     out_dir = Path(env["out_dir"])
     out = out_dir if exp.out == "dir" else None
@@ -288,18 +283,23 @@ def _parse_reference(text: str, n_samples: int, seed: int):
     raise ConfigError(f"cannot parse reference {text!r}")
 
 
-def _report(out, header, rows, experiment: str, params: dict, seed: int) -> None:
-    """Rows as a CSV at ``out`` with the manifest beside it, or on stdout."""
+def _report(out, header, rows, experiment: str, params: dict, seed: int,
+            failures=()) -> None:
+    """Rows as a CSV at ``out`` with the manifest beside it, or on stdout;
+    then CheckFailedError if any check in ``failures`` did not hold."""
+    from .errors import CheckFailedError
     from .reporting import format_value, write_csv, write_manifest
 
     if out is None:
         print(",".join(header))
         for row in rows:
             print(",".join(format_value(v) for v in row))
-        return
-    write_csv(out, header, rows)
-    write_manifest(Path(out).parent, experiment, params, seed)
-    print(f"wrote {out}")
+    else:
+        write_csv(out, header, rows)
+        write_manifest(Path(out).parent, experiment, params, seed)
+        print(f"wrote {out}")
+    if failures:
+        raise CheckFailedError("; ".join(failures))
 
 
 def _chart(svg, times, series: dict, title: str, ylabel: str) -> None:
@@ -344,7 +344,6 @@ def _sample(params, seed, out) -> int:
 
 
 def _oracle_jensen(params, seed, out) -> int:
-    from .errors import CheckFailedError
     from .gaussian_oracle import GaussianFlowSpec, jensen_gap, typical_shell_point
     from .interpolant import make_interpolant
     from .rng import rng_for
@@ -363,14 +362,11 @@ def _oracle_jensen(params, seed, out) -> int:
         elif not res.deficit_confirmed:
             failures.append(f"t={t}: learned energy did not undershoot the target")
     _report(out, ("t", "learned_energy", "target_energy", "mc_stderr"), rows,
-            "oracle-jensen", params, seed)
-    if failures:
-        raise CheckFailedError("; ".join(failures))
+            "oracle-jensen", params, seed, failures)
     return EXIT_OK
 
 
 def _oracle_cross_term(params, seed, out) -> int:
-    from .errors import CheckFailedError
     from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample,
                                   cross_term_expectation, marginal_variance)
     from .interpolant import LinearPath
@@ -399,9 +395,7 @@ def _oracle_cross_term(params, seed, out) -> int:
         if abs(est - closed) > 3.0 * se:
             failures.append(f"t={t}: closed form and MC disagree beyond 3 stderr")
     _report(out, ("t", "closed_form", "mc_estimate", "mc_stderr"), rows,
-            "oracle-cross-term", params, seed)
-    if failures:
-        raise CheckFailedError("; ".join(failures))
+            "oracle-cross-term", params, seed, failures)
     return EXIT_OK
 
 
@@ -476,30 +470,25 @@ def _diagnose_lag(params, seed, out) -> int:
     from .errors import ConfigError
     from .reporting import read_csv
 
-    def reference_of(path):
+    paths, refs = (params["baseline"], params["corrected"]), []
+    for path in paths:
         try:
-            return json.loads(Path(f"{path}.json").read_text())["reference_id"]
+            refs.append(json.loads(Path(f"{path}.json").read_text())["reference_id"])
         except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    base_path, corr_path = params["baseline"], params["corrected"]
-    refs = [reference_of(path) for path in (base_path, corr_path)]
+            refs.append(None)
     if None in refs or refs[0] != refs[1]:
         raise ConfigError(
-            f"{base_path} and {corr_path} must carry the same reference in their "
-            f"'diagnose fld' sidecars ({base_path}.json, {corr_path}.json); "
+            f"{paths[0]} and {paths[1]} must carry the same reference in their "
+            f"'diagnose fld' sidecars ({paths[0]}.json, {paths[1]}.json); "
             f"found {refs[0]!r} and {refs[1]!r}")
-
-    def load_report(path, reference_id):
-        header, rows = read_csv(path)
-        times = tuple(float(r[0]) for r in rows)
-        values = np.array([float(r[1]) for r in rows])
-        return FldReport(times=times, values=values, reference_id=reference_id, n_samples=0)
-
-    baseline = load_report(base_path, refs[0])
-    corrected = load_report(corr_path, refs[1])
-    deltas = lag_improvement(baseline, corrected)
-    _report(out, ("t", "value"), list(zip(baseline.times, deltas)), "diagnose-lag", params,
+    reports = []
+    for path in paths:
+        _, rows = read_csv(path)
+        reports.append(FldReport(times=tuple(float(r[0]) for r in rows),
+                                 values=np.array([float(r[1]) for r in rows]),
+                                 reference_id=refs[0], n_samples=0))
+    deltas = lag_improvement(*reports)
+    _report(out, ("t", "value"), list(zip(reports[0].times, deltas)), "diagnose-lag", params,
             seed)
     return EXIT_OK
 
@@ -595,58 +584,58 @@ def _schedule_calibrate(params, seed, out) -> int:
 
 # -- the experiment table ---------------------------------------------------
 
-_CHECKPOINT = Param("checkpoint", "path")
-_METHOD = Param("method", "str", "euler", choices=("euler", "heun", "euler-maruyama"))
-_PARTICLES = Param("particles", "int", 8192)
-_RECORD_TIMES = Param("checkpoints", "floats", (0.2, 0.4, 0.6, 0.8, 1.0),
-                      help="comma-separated recording times")
-_DIM = Param("dim", "int")
-_DATA_STD = Param("data_std", "float", 1.0)
-_N_MC = Param("n_mc", "int", 100_000)
-_SVG = Param("svg", "path", None)
+_CHECKPOINT = Param("checkpoint", str)
+_METHOD = Param("method", str, "euler", choices=("euler", "heun", "euler-maruyama"))
+_PARTICLES = Param("particles", int, 8192)
+_RECORD_TIMES = Param("checkpoints", float, (0.2, 0.4, 0.6, 0.8, 1.0),
+                      help="comma-separated recording times", many=True)
+_DIM = Param("dim", int)
+_DATA_STD = Param("data_std", float, 1.0)
+_N_MC = Param("n_mc", int, 100_000)
+_SVG = Param("svg", str, None)
 
 EXPERIMENTS = {exp.name: exp for exp in (
     Experiment("train", "train", "train a velocity network from a JSON config", _train, None,
                out="dir"),
     Experiment("sample", "sample", "integrate particles from a trained checkpoint", _sample, (
-        _CHECKPOINT, Param("nfe", "int", 50),
-        Param("schedule", "str", "constant-one", help="shape:s_start:s_end, e.g. linear:1.1:1.0"),
+        _CHECKPOINT, Param("nfe", int, 50),
+        Param("schedule", str, "constant-one", help="shape:s_start:s_end, e.g. linear:1.1:1.0"),
         _METHOD, _PARTICLES, _RECORD_TIMES), out="bin"),
     Experiment("oracle-jensen", "oracle jensen", "learned vs target kinetic energy",
                _oracle_jensen, (
-        _DIM, _DATA_STD, Param("path", "str", "linear"),
-        Param("t", "floats", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)), _N_MC)),
+        _DIM, _DATA_STD, Param("path", str, "linear"),
+        Param("t", float, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), many=True), _N_MC)),
     Experiment("oracle-cross-term", "oracle cross-term",
                "conditional cross-term, closed form vs MC", _oracle_cross_term, (
-        _DIM, _DATA_STD, Param("t", "floats", (0.25, 0.5, 0.75)), _N_MC)),
+        _DIM, _DATA_STD, Param("t", float, (0.25, 0.5, 0.75), many=True), _N_MC)),
     Experiment("rho-stats", "oracle rho", "relative cross-term concentration statistics",
-               _rho_stats, (_DIM, Param("pairs", "int", 50_000), _DATA_STD)),
+               _rho_stats, (_DIM, Param("pairs", int, 50_000), _DATA_STD)),
     Experiment("diagnose-norm", "diagnose norm", "velocity-norm profile of a checkpoint",
                _diagnose_norm, (
-        _CHECKPOINT, Param("grid", "str", "0.05:0.95:19", help="start:stop:count"),
-        Param("samples", "int", 4096), _SVG)),
+        _CHECKPOINT, Param("grid", str, "0.05:0.95:19", help="start:stop:count"),
+        Param("samples", int, 4096), _SVG)),
     Experiment("diagnose-fld", "diagnose fld", "distance to target at trajectory checkpoints",
                _diagnose_fld, (
-        Param("traj", "path"),
-        Param("reference", "str", help="'gaussian:DIM:STD' or a dataset JSON block"),
-        Param("reference_samples", "int", 8192),
-        Param("verify", "bool", False, help="check sqrtm reconstructions at runtime"), _SVG)),
+        Param("traj", str),
+        Param("reference", str, help="'gaussian:DIM:STD' or a dataset JSON block"),
+        Param("reference_samples", int, 8192),
+        Param("verify", bool, False, help="check sqrtm reconstructions at runtime"), _SVG)),
     Experiment("diagnose-lag", "diagnose lag", "relative improvement between two FLD reports",
-               _diagnose_lag, (Param("baseline", "path"), Param("corrected", "path")),
+               _diagnose_lag, (Param("baseline", str), Param("corrected", str)),
                seeded=False),
     # calls the module attribute, so a wrapper installed on cli.run_lag_sweep sees each sweep
     Experiment("lag-sweep", "lag-sweep", "terminal-distance sweep over injection scales",
                lambda params, seed, out: run_lag_sweep(params, seed, out), (
-        _CHECKPOINT, Param("nfe", "ints", (10,), help="comma-separated step budgets"),
-        Param("s_start", "floats", (1.0, 1.05, 1.1, 1.15, 1.2)), _METHOD, _PARTICLES,
-        Param("floor_nfe", "int", 500),
-        Param("require_lag_ratio", "float", None,
+        _CHECKPOINT, Param("nfe", int, (10,), help="comma-separated step budgets", many=True),
+        Param("s_start", float, (1.0, 1.05, 1.1, 1.15, 1.2), many=True), _METHOD, _PARTICLES,
+        Param("floor_nfe", int, 500),
+        Param("require_lag_ratio", float, None,
               help="fail (exit 3) unless baseline terminal distance exceeds the floor "
                    "by this factor"),
         _RECORD_TIMES), out="dir"),
     Experiment("schedule-calibrate", "schedule-calibrate", "solve s_start for a target area",
                _schedule_calibrate, (
-        Param("shape", "str"), Param("area", "float"), Param("s_end", "float", 1.0)),
+        Param("shape", str), Param("area", float), Param("s_end", float, 1.0)),
                out=None, seeded=False),
 )}
 

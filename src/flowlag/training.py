@@ -85,30 +85,27 @@ def mafm_loss(net: Mlp, interp, x0, x1, t, lam0: float = 0.2, shape: str = "line
     speed penalty uses subgradient 0, so the update is deterministic.
     """
     x0, x1, t = _check_batch(x0, x1, t)
+    if magnitude_target not in ("displacement", "path"):
+        raise ValueError(f"unknown magnitude target {magnitude_target!r}")
     b = x0.shape[0]
     xt = interp.sample_xt(x0, x1, t)
     target = interp.target_velocity(x0, x1, t)
-    if magnitude_target == "displacement":
-        speed_target = np.linalg.norm(x1 - x0, axis=1)
-    elif magnitude_target == "path":
-        speed_target = np.linalg.norm(target, axis=1)
-    else:
-        raise ValueError(f"unknown magnitude target {magnitude_target!r}")
-
     out, cache = net.forward_cached(xt, t)
     resid = out - target
     fm = float(np.einsum("ij,ij->", resid, resid) / b)
-
-    lam = mafm_weight(t, shape=shape, lam0=lam0)
-    norms = np.linalg.norm(out, axis=1)
-    gap = norms - speed_target
-    mag = float(np.mean(lam * gap * gap))
-
     grad_out = (2.0 / b) * resid
-    nonzero = norms > 0.0
-    coeff = np.zeros(b)
-    coeff[nonzero] = (2.0 / b) * lam[nonzero] * gap[nonzero] / norms[nonzero]
-    grad_out = grad_out + coeff[:, None] * out
+    mag = 0.0
+    if lam0 != 0.0:  # lam0 = 0 is the plain regression: no speed term, no 0 * inf
+        speed_target = np.linalg.norm(x1 - x0 if magnitude_target == "displacement"
+                                      else target, axis=1)
+        lam = mafm_weight(t, shape=shape, lam0=lam0)
+        norms = np.linalg.norm(out, axis=1)
+        gap = norms - speed_target
+        mag = float(np.mean(lam * gap * gap))
+        nonzero = norms > 0.0
+        coeff = np.zeros(b)
+        coeff[nonzero] = (2.0 / b) * lam[nonzero] * gap[nonzero] / norms[nonzero]
+        grad_out = grad_out + coeff[:, None] * out
     grads = net.backward(cache, grad_out)
     return fm + mag, grads, LossBreakdown(fm_term=fm, magnitude_term=mag)
 

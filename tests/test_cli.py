@@ -130,6 +130,15 @@ class TestTrainAndSample:
         assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert not (tmp_path / "o" / "loss.csv").exists()
 
+    def test_train_has_no_seed_flag(self, tiny_config_file, tmp_path):
+        """train's seed is a field of its config file; a --seed flag is refused."""
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--config", str(tiny_config_file), "--out", str(out),
+                    "--seed", "7")
+        assert exc.value.code == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestDiagnoseCommands:
     def test_norm_profile_csv_and_svg(self, tiny_run, tmp_path):
@@ -271,6 +280,18 @@ class TestRunExperiment:
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("experiment", ["diagnose-lag", "schedule-calibrate"])
+    def test_seed_for_unseeded_experiment_exits_2(self, fld_inputs, tmp_path, experiment):
+        """An experiment that draws no random numbers refuses a seed it would only record."""
+        spec = {"diagnose-lag": {"baseline": fld_inputs[1][0], "corrected": fld_inputs[1][1]},
+                "schedule-calibrate": {"shape": "quad-in", "area": 1.05}}[experiment]
+        cfg = tmp_path / "exp.json"
+        out_dir = tmp_path / "never"
+        cfg.write_text(json.dumps({"experiment": experiment, "out_dir": str(out_dir),
+                                   "seed": 3, "spec": spec}))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("field", ["verify", "name"])
     def test_dropped_envelope_fields_exit_2(self, tmp_path, field):
         cfg = tmp_path / "exp.json"
@@ -366,7 +387,7 @@ class TestFlagsMatchRun:
     def test_same_artifacts(self, name, tiny_run, fld_inputs, tmp_path, capsys):
         exp = cli.EXPERIMENTS[name]
         spec = self.specs(str(tiny_run.checkpoint_path), *fld_inputs)[name]
-        seed = 3 if exp.seeded else 0
+        seed = 3 if exp.seeded else 0  # an unseeded experiment refuses a seed
         flag_dir, run_dir = tmp_path / "flags", tmp_path / "run"
         flag_dir.mkdir()
         if exp.params is None:
@@ -383,8 +404,8 @@ class TestFlagsMatchRun:
         flag_stdout = capsys.readouterr().out.replace(str(flag_dir), "OUT")
 
         cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"experiment": name, "out_dir": str(run_dir), "seed": seed,
-                                   "spec": spec}))
+        envelope = {"experiment": name, "out_dir": str(run_dir), "spec": spec}
+        cfg.write_text(json.dumps({**envelope, "seed": seed} if exp.seeded else envelope))
         assert main(["run", "--config", str(cfg)]) == flag_code
         assert capsys.readouterr().out.replace(str(run_dir), "OUT") == flag_stdout
         assert flag_code in (EXIT_OK, EXIT_OVERSHOOT)

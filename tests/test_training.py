@@ -1,5 +1,7 @@
 """Objectives, weight schedules, and the training loop contract."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,14 @@ class TestTrainLoop:
             train(cfg, out_dir=tmp_path)
         assert exc.value.step <= 50
         assert (tmp_path / "divergence.json").exists()
+
+    def test_fm_divergence_has_no_magnitude_term(self, tmp_path):
+        """An fm run carries no speed penalty, so an overflowing output cannot make it NaN."""
+        cfg = self._config(steps=50, learning_rate=1e30, precision="float32")
+        with pytest.raises(TrainingDivergedError):
+            train(cfg, out_dir=tmp_path)
+        snapshot = json.loads((tmp_path / "divergence.json").read_text())
+        assert snapshot["magnitude_term"] == 0.0
 
     def test_terminal_loss_near_irreducible_floor(self):
         """The regression floor is the integrated conditional variance.
