@@ -4,8 +4,8 @@ Subcommands: train, sample, oracle {jensen|cross-term|rho},
 diagnose {norm|fld|lag}, lag-sweep, schedule-calibrate, and run (which
 executes one experiment described by a JSON config).  Every subcommand
 but run is one entry of EXPERIMENTS, whose parameters are declared once:
-the flags and run's JSON ``spec`` are both checked against them, and both
-call the entry's one function.  Exit codes:
+flags, train configs and run's JSON ``spec`` are checked against them,
+and all reach the entry's one function through _dispatch.  Exit codes:
 
     0  success
     2  config/argument problem
@@ -96,17 +96,18 @@ class Param:
 class Experiment:
     """``func(params, seed, out)`` runs the experiment and returns its exit code.
 
-    ``params`` is None for train, whose spec is a train config.  ``out`` is
-    "dir" (a directory), "bin" or "csv" (a file; a CSV without --out goes
-    to stdout) or None; run writes a file output to <out_dir>/<name>.<out>.
-    An experiment that is not ``seeded`` takes no seed.
+    ``params`` is a function for train: its parameters are TrainConfig's
+    fields, read after the thread cap (training imports numpy); its flag is --config.
+    ``out`` is "dir" (a directory), "bin" or "csv" (a file; a CSV without
+    --out goes to stdout) or None; run writes a file output to
+    <out_dir>/<name>.<out>.  An experiment that is not ``seeded`` takes no seed.
     """
 
     name: str
     command: str
     help: str
     func: Callable
-    params: tuple | None
+    params: tuple | Callable
     out: str | None = "csv"
     seeded: bool = True
 
@@ -188,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command")
             where = groups[words[0]]
         p = where.add_parser(words[-1], help=exp.help)
-        if exp.params is None:  # train: the seed is a field of its config file
+        if callable(exp.params):  # train: the seed is a field of its config file
             p.add_argument("--config", required=True, type=Path)
         else:
             for param in exp.params + ((_SEED,) if exp.seeded else ()):
@@ -205,18 +206,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _from_flags(args) -> int:
-    from .errors import ConfigError
-
     exp = args.experiment
-    if exp.params is None:
-        params = json.loads(Path(args.config).read_text())
-        if not isinstance(params, dict):
-            raise ConfigError("train config must be a JSON object")
-        seed = params.pop("seed", _SEED.default)
+    if callable(exp.params):
+        params = _validated("train config", exp.params() + (_SEED,),
+                            json.loads(Path(args.config).read_text()))
+        seed = params.pop("seed")
     else:
         params = {p.name: getattr(args, p.name) for p in exp.params}
         seed = getattr(args, "seed", _SEED.default)
-    return exp.func(params, seed, getattr(args, "out", None))
+    return _dispatch(exp, params, seed, getattr(args, "out", None))
 
 
 def _cmd_run(args) -> int:
@@ -234,13 +232,35 @@ def _cmd_run(args) -> int:
         raise ConfigError("the seed belongs in the experiment config, not in 'spec'")
     if not exp.seeded and env["seed"] != _SEED.default:
         raise ConfigError(f"{exp.name} takes no seed")
-    params = spec if exp.params is None else _validated(exp.name, exp.params, spec)
-    out_dir = Path(env["out_dir"])
-    out = out_dir if exp.out == "dir" else None
+    params = _validated(exp.name, exp.params() if callable(exp.params) else exp.params, spec)
+    out = Path(env["out_dir"])
     if exp.out in ("bin", "csv"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out = out_dir / f"{exp.name}.{exp.out}"
-    return exp.func(params, env["seed"], out)
+        out = out / f"{exp.name}.{exp.out}"
+    return _dispatch(exp, params, env["seed"], out if exp.out else None)
+
+
+def _dispatch(exp: Experiment, params: dict, seed: int, out) -> int:
+    """Create the output's directory, write the manifest there, then run the experiment."""
+    from .reporting import write_manifest
+
+    if out is not None:
+        write_manifest(out if exp.out == "dir" else Path(out).parent, exp.name, params, seed)
+    return exp.func(params, seed, out)
+
+
+def _train_params() -> tuple:
+    """train's parameters: TrainConfig's fields but its seed, which is the run's.
+    A ``tuple[int, ...]`` field (hidden) is a list of int."""
+    from dataclasses import MISSING, fields
+    from typing import get_args, get_type_hints
+
+    from .training import TrainConfig
+
+    hints = get_type_hints(TrainConfig)
+    return tuple(Param(f.name, (get_args(hints[f.name]) or (hints[f.name],))[0],
+                       _REQUIRED if f.default is MISSING else f.default,
+                       many=bool(get_args(hints[f.name])))
+                 for f in fields(TrainConfig) if f.name != "seed")
 
 
 # -- helpers ----------------------------------------------------------------
@@ -283,20 +303,14 @@ def _parse_reference(text: str, n_samples: int, seed: int):
     raise ConfigError(f"cannot parse reference {text!r}")
 
 
-def _report(out, header, rows, experiment: str, params: dict, seed: int,
-            failures=()) -> None:
-    """Rows as a CSV at ``out`` with the manifest beside it, or on stdout;
-    then CheckFailedError if any check in ``failures`` did not hold."""
+def _report(out, header, rows, failures=()) -> None:
+    """Rows as a CSV at ``out``, or on stdout; then CheckFailedError if any
+    check in ``failures`` did not hold."""
     from .errors import CheckFailedError
-    from .reporting import format_value, write_csv, write_manifest
+    from .reporting import write_csv
 
-    if out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_value(v) for v in row))
-    else:
-        write_csv(out, header, rows)
-        write_manifest(Path(out).parent, experiment, params, seed)
+    write_csv(sys.stdout if out is None else out, header, rows)
+    if out is not None:
         print(f"wrote {out}")
     if failures:
         raise CheckFailedError("; ".join(failures))
@@ -314,11 +328,9 @@ def _chart(svg, times, series: dict, title: str, ylabel: str) -> None:
 
 
 def _train(params, seed, out) -> int:
-    from .reporting import write_manifest
     from .training import TrainConfig, train
 
-    config = TrainConfig.from_dict({**params, "seed": seed})
-    write_manifest(out, "train", config.to_dict(), seed)
+    config = TrainConfig(**params, seed=seed)
     result = train(config, out_dir=out)
     final = result.history[-1]
     print(f"trained {config.steps} steps; final loss {final[3]:.6g} "
@@ -328,7 +340,6 @@ def _train(params, seed, out) -> int:
 
 
 def _sample(params, seed, out) -> int:
-    from .reporting import write_manifest
     from .solver import SolverSpec, integrate, parse_schedule, save_trajectory
 
     ck, interp, _ = _load_net(params["checkpoint"])
@@ -338,7 +349,6 @@ def _sample(params, seed, out) -> int:
     traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=params["particles"],
                      seed=seed, interp=interp)
     save_trajectory(out, traj)
-    write_manifest(Path(out).parent, "sample", params, seed)
     print(f"wrote {out} ({params['particles']} particles, {len(spec.checkpoints)} checkpoints)")
     return EXIT_OK
 
@@ -361,8 +371,7 @@ def _oracle_jensen(params, seed, out) -> int:
                             f"{3 * res.mc_stderr:.4g})")
         elif not res.deficit_confirmed:
             failures.append(f"t={t}: learned energy did not undershoot the target")
-    _report(out, ("t", "learned_energy", "target_energy", "mc_stderr"), rows,
-            "oracle-jensen", params, seed, failures)
+    _report(out, ("t", "learned_energy", "target_energy", "mc_stderr"), rows, failures)
     return EXIT_OK
 
 
@@ -394,8 +403,7 @@ def _oracle_cross_term(params, seed, out) -> int:
         rows.append((t, closed, est, se))
         if abs(est - closed) > 3.0 * se:
             failures.append(f"t={t}: closed form and MC disagree beyond 3 stderr")
-    _report(out, ("t", "closed_form", "mc_estimate", "mc_stderr"), rows,
-            "oracle-cross-term", params, seed, failures)
+    _report(out, ("t", "closed_form", "mc_estimate", "mc_stderr"), rows, failures)
     return EXIT_OK
 
 
@@ -405,7 +413,7 @@ def _rho_stats(params, seed, out) -> int:
     stats = rho_statistics(params["dim"], params["pairs"], data_std=params["data_std"],
                            seed=seed)
     _report(out, ("dim", "mean_rho", "p99_rho", "max_rho"),
-            [(stats.dim, stats.mean, stats.p99, stats.max)], "rho-stats", params, seed)
+            [(stats.dim, stats.mean, stats.p99, stats.max)])
     return EXIT_OK
 
 
@@ -426,7 +434,7 @@ def _diagnose_norm(params, seed, out) -> int:
                            n_samples=params["samples"], seed=seed)
     stderr = profile.std / np.sqrt(params["samples"])
     rows = list(zip(profile.times, profile.mean, stderr))
-    _report(out, ("t", "value", "stderr"), rows, "diagnose-norm", params, seed)
+    _report(out, ("t", "value", "stderr"), rows)
     _chart(params["svg"], profile.times, {"predicted": profile.mean, "target": profile.target_rms},
            "velocity norm profile", "mean norm")
     return EXIT_OK
@@ -452,7 +460,7 @@ def _diagnose_fld(params, seed, out) -> int:
     synth = reference.mean + rng.standard_normal((2 * n, reference.dim)) @ chol.T
     floor = split_half_fld(synth)
     rows = [(t, v, floor) for t, v in zip(report.times, report.values)]
-    _report(out, ("t", "value", "split_half_floor"), rows, "diagnose-fld", params, seed)
+    _report(out, ("t", "value", "split_half_floor"), rows)
     if out is not None:
         # the reference travels with the CSV: a shared directory manifest can be overwritten
         digest = hashlib.sha256(reference.mean.tobytes() + reference.cov.tobytes()).hexdigest()
@@ -488,8 +496,7 @@ def _diagnose_lag(params, seed, out) -> int:
                                  values=np.array([float(r[1]) for r in rows]),
                                  reference_id=refs[0], n_samples=0))
     deltas = lag_improvement(*reports)
-    _report(out, ("t", "value"), list(zip(reports[0].times, deltas)), "diagnose-lag", params,
-            seed)
+    _report(out, ("t", "value"), list(zip(reports[0].times, deltas)))
     return EXIT_OK
 
 
@@ -502,21 +509,19 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05)."""
     from .errors import CheckFailedError
     from .diagnostics import track_fld
-    from .reporting import write_csv, write_manifest
+    from .reporting import write_csv
     from .solver import ScaleSchedule, SolverSpec, integrate
 
     ck, interp, train_config = _load_net(params["checkpoint"])
     reference, ref_id = _reference_for(train_config["dataset"], 8192, seed)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, "lag-sweep", params, seed)
 
     checkpoints = tuple(params["checkpoints"])
-    schedules = [("baseline", ScaleSchedule("linear", 1.0, 1.0))]
-    schedules += [(f"linear:{s:g}:1.0", ScaleSchedule("linear", s, 1.0))
-                  for s in params["s_start"] if s != 1.0]
-    schedules.append(("linear:1.0:1.1", ScaleSchedule("linear", 1.0, 1.1)))
-    schedules.append(("linear:1.05:1.05", ScaleSchedule("linear", 1.05, 1.05)))
+    injected = [(f"linear:{s:g}:1.0", ScaleSchedule("linear", s, 1.0))
+                for s in params["s_start"] if s != 1.0]
+    schedules = [("baseline", ScaleSchedule("linear", 1.0, 1.0)), *injected,
+                 ("linear:1.0:1.1", ScaleSchedule("linear", 1.0, 1.1)),
+                 ("linear:1.05:1.05", ScaleSchedule("linear", 1.05, 1.05))]
 
     def run_cell(nfe, schedule):
         spec = SolverSpec(method=params["method"], nfe=nfe, schedule=schedule,
@@ -528,11 +533,11 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     floor_report = run_cell(params["floor_nfe"], ScaleSchedule("linear", 1.0, 1.0))
     header = ["nfe", "label", "s_start", "s_end"] + [f"fld_at_{t:g}" for t in checkpoints]
     rows = [[params["floor_nfe"], "floor", 1.0, 1.0] + list(floor_report.values)]
-    results = {}
+    terminal = {}  # nfe -> label -> terminal distance
     for nfe in params["nfe"]:
         for label, schedule in schedules:
             report = run_cell(nfe, schedule)
-            results[(nfe, label)] = report
+            terminal.setdefault(nfe, {})[label] = report.terminal
             rows.append([nfe, label, schedule.s_start, schedule.s_end] + list(report.values))
     write_csv(out_dir / "lag_sweep.csv", header, rows)
 
@@ -541,21 +546,17 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
                      f"{floor_report.terminal:.6g}"]
     exit_code = EXIT_OK
     primary_nfe = params["nfe"][0]
-    baseline = results[(primary_nfe, "baseline")]
-    ratio = baseline.terminal / max(floor_report.terminal, 1e-300)
+    primary = terminal[primary_nfe]
+    baseline = primary["baseline"]
+    ratio = baseline / max(floor_report.terminal, 1e-300)
     summary_lines.append(f"baseline (nfe={primary_nfe}): terminal FLD "
-                         f"{baseline.terminal:.6g} ({ratio:.2f}x the floor)")
-    improving = [(label, r.terminal) for (nfe, label), r in results.items()
-                 if nfe == primary_nfe and label.startswith("linear:")
-                 and label.endswith(":1.0") and r.terminal < baseline.terminal]
-    best_label, best_terminal = min(
-        ((label, r.terminal) for (nfe, label), r in results.items() if nfe == primary_nfe),
-        key=lambda kv: kv[1])
+                         f"{baseline:.6g} ({ratio:.2f}x the floor)")
+    improving = [label for label in dict(injected) if primary[label] < baseline]
+    best_label = min(primary, key=primary.get)
     summary_lines.append(f"best cell at nfe={primary_nfe}: {best_label} "
-                         f"(terminal FLD {best_terminal:.6g})")
+                         f"(terminal FLD {primary[best_label]:.6g})")
     if improving:
-        summary_lines.append("improving s_start rows: "
-                             + ", ".join(label for label, _ in improving))
+        summary_lines.append("improving s_start rows: " + ", ".join(improving))
     else:
         summary_lines.append(f"CAVEAT: {OVERSHOOT_CAVEAT}")
         exit_code = EXIT_OVERSHOOT
@@ -595,8 +596,8 @@ _N_MC = Param("n_mc", int, 100_000)
 _SVG = Param("svg", str, None)
 
 EXPERIMENTS = {exp.name: exp for exp in (
-    Experiment("train", "train", "train a velocity network from a JSON config", _train, None,
-               out="dir"),
+    Experiment("train", "train", "train a velocity network from a JSON config", _train,
+               _train_params, out="dir"),
     Experiment("sample", "sample", "integrate particles from a trained checkpoint", _sample, (
         _CHECKPOINT, Param("nfe", int, 50),
         Param("schedule", str, "constant-one", help="shape:s_start:s_end, e.g. linear:1.1:1.0"),

@@ -108,18 +108,6 @@ class Mlp:
         out["skip"] = self.skip
         return out
 
-    def set_parameters(self, params: dict) -> None:
-        for i in range(len(self.weights)):
-            self.weights[i] = np.asarray(params[f"W{i}"], dtype=self.dtype)
-            self.biases[i] = np.asarray(params[f"b{i}"], dtype=self.dtype)
-        self.skip = np.asarray(params["skip"], dtype=self.dtype)
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters().values())
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(p)) for p in self.parameters().values())
-
     # -- forward / backward ----------------------------------------------
 
     def _buffer(self, name, shape):

@@ -21,11 +21,16 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(dest, header, rows) -> None:
+    """Write the CSV to ``dest``, a path or a text stream such as sys.stdout."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        Path(dest).write_text(text)
 
 
 def read_csv(path):

@@ -32,6 +32,17 @@ SOLVER_METHODS = ("euler", "heun", "euler-maruyama")
 _BUMP_AREA = {"linear": 0.5, "cosine": 0.5, "quad-in": 2.0 / 3.0, "quad-out": 1.0 / 3.0}
 
 
+def _bump(shape: str, t):
+    """The decay bump of ``shape`` (a key of _BUMP_AREA) at times ``t``."""
+    if shape == "linear":
+        return 1.0 - t
+    if shape == "cosine":
+        return 0.5 * (1.0 + np.cos(np.pi * t))
+    if shape == "quad-in":
+        return 1.0 - t * t
+    return (1.0 - t) ** 2  # quad-out
+
+
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Velocity multiplier gamma(t) with endpoints (s_start, s_end)."""
@@ -56,16 +67,7 @@ class ScaleSchedule:
             raise ValueError("schedule time must lie in [0, 1]")
         if self.shape == "constant-one" or self.s_start == self.s_end:
             return np.full_like(t, self.s_start) if t.ndim else np.float64(self.s_start)
-        delta = self.s_start - self.s_end
-        if self.shape == "linear":
-            bump = 1.0 - t
-        elif self.shape == "cosine":
-            bump = 0.5 * (1.0 + np.cos(np.pi * t))
-        elif self.shape == "quad-in":
-            bump = 1.0 - t * t
-        else:  # quad-out
-            bump = (1.0 - t) ** 2
-        val = self.s_end + delta * bump
+        val = self.s_end + (self.s_start - self.s_end) * _bump(self.shape, t)
         # pin endpoint values exactly (the affine form can be off by 1 ulp)
         val = np.where(t == 0.0, self.s_start, np.where(t == 1.0, self.s_end, val))
         return val if val.ndim else np.float64(val)

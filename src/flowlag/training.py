@@ -23,8 +23,9 @@ from .interpolant import make_interpolant, PATH_KINDS
 from .nn import Adam, Mlp, save_checkpoint
 from .reporting import write_csv
 from .rng import rng_for
+from .solver import _BUMP_AREA, _bump
 
-MAFM_SHAPES = ("linear", "cosine", "quad-in", "quad-out")
+MAFM_SHAPES = tuple(_BUMP_AREA)
 
 # keeps the exponential path's d_sigma tail out of training batches
 # (it grows like 1/sqrt(1-t) and its second moment is log-divergent)
@@ -45,23 +46,17 @@ def mafm_weight(t, shape: str = "linear", lam0: float = 0.2):
     """Decaying penalty weight; every shape integrates to lam0 / 2.
 
     All shapes vanish at t=1 so the late-time contraction of the learned
-    field is never penalized; amplitudes of the non-linear shapes are
-    calibrated so the total penalty budget matches the linear default.
+    field is never penalized; each shape is the solver's decay bump,
+    scaled so the total penalty budget matches the linear default.
     """
     if lam0 < 0:
         raise ValueError(f"lam0 must be nonnegative, got {lam0}")
+    if shape not in _BUMP_AREA:
+        raise ValueError(f"unknown weight shape {shape!r}; expected one of {MAFM_SHAPES}")
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > 1):
+    if not np.all((t >= 0) & (t <= 1)):  # NaN fails both
         raise ValueError("time must lie in [0, 1]")
-    if shape == "linear":
-        return lam0 * (1.0 - t)
-    if shape == "cosine":
-        return lam0 * 0.5 * (1.0 + np.cos(np.pi * t))
-    if shape == "quad-in":
-        return 0.75 * lam0 * (1.0 - t * t)
-    if shape == "quad-out":
-        return 1.5 * lam0 * (1.0 - t) ** 2
-    raise ValueError(f"unknown weight shape {shape!r}; expected one of {MAFM_SHAPES}")
+    return lam0 * (0.5 / _BUMP_AREA[shape]) * _bump(shape, t)
 
 
 def _check_batch(x0, x1, t):
@@ -125,7 +120,7 @@ class TrainConfig:
     magnitude_target: str = "displacement"
     seed: int = 0
     precision: str = "float64"
-    hidden: tuple = (256, 256, 256)
+    hidden: tuple[int, ...] = (256, 256, 256)
     n_time_pairs: int = 8
     lr_schedule: str = "constant"   # or "cosine" (decay to lr/100 over the run)
     log_every: int = 100
@@ -140,6 +135,8 @@ class TrainConfig:
             raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
         if self.mafm_shape not in MAFM_SHAPES:
             raise ConfigError(f"unknown mafm shape {self.mafm_shape!r}")
+        if self.magnitude_target not in ("displacement", "path"):
+            raise ConfigError(f"unknown magnitude target {self.magnitude_target!r}")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
         for name in ("batch_size", "steps", "log_every"):
@@ -147,19 +144,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.profile_every < 0 or self.lam0 < 0:
             raise ConfigError("profile_every and lam0 must be nonnegative")
-        self.hidden = tuple(int(h) for h in self.hidden)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("train config must be a mapping")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
-        if "dataset" not in raw:
-            raise ConfigError("train config requires a 'dataset' block")
-        return cls(**raw)
+        self.hidden = tuple(self.hidden)
 
     def to_dict(self) -> dict:
         d = asdict(self)

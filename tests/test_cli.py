@@ -300,6 +300,45 @@ class TestRunExperiment:
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad", [{"steps": "10"}, {"steps": 10.5}, {"learning_rate": "1e-3"},
+                                     {"batch_size": True}, {"seed": 7.9}, {"hidden": [4.7]},
+                                     {"lam0": True}, {"decay": 0.1}])
+    @pytest.mark.parametrize("door", ["train", "run"])
+    def test_bad_train_fields_exit_2(self, tmp_path, door, bad):
+        """An ill-typed or unknown train config field is refused before anything is written."""
+        out_dir = tmp_path / "train"
+        spec = {"dataset": {"kind": "gaussian", "dim": 4}, "steps": 5, **bad}
+        cfg = tmp_path / "cfg.json"
+        if door == "train":
+            cfg.write_text(json.dumps(spec))
+            argv = ["train", "--config", str(cfg), "--out", str(out_dir)]
+        else:
+            seed = {"seed": spec.pop("seed")} if "seed" in spec else {}
+            cfg.write_text(json.dumps({"experiment": "train", "out_dir": str(out_dir),
+                                       "spec": spec, **seed}))
+            argv = ["run", "--config", str(cfg)]
+        assert run_cli(*argv) == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("door", ["sample", "run"])
+    def test_failure_after_validation_leaves_manifest(self, tmp_path, door):
+        """Valid parameters are recorded before the run, so a run that then fails
+        still leaves its manifest, from flags and from run alike."""
+        out_dir = tmp_path / "new" / "dir"
+        if door == "sample":
+            argv = ["sample", "--checkpoint", str(tmp_path / "missing.npz"),
+                    "--out", str(out_dir / "sample.bin")]
+        else:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps({"experiment": "sample", "out_dir": str(out_dir),
+                                       "spec": {"checkpoint": str(tmp_path / "missing.npz")}}))
+            argv = ["run", "--config", str(cfg)]
+        assert run_cli(*argv) == EXIT_CONFIG
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["experiment"] == "sample"
+        assert manifest["config"]["nfe"] == 50
+        assert not (out_dir / "sample.bin").exists()
+
     @pytest.mark.parametrize("bad", [{"nfe": "25"}, {"s_start": 1.1}, {"nfe": [10.7]},
                                      {"particles": True}, ["--nfe", "10.7"]])
     def test_ill_typed_lag_sweep_fields_exit_2(self, tiny_run, tmp_path, bad):
@@ -388,9 +427,8 @@ class TestFlagsMatchRun:
         exp = cli.EXPERIMENTS[name]
         spec = self.specs(str(tiny_run.checkpoint_path), *fld_inputs)[name]
         seed = 3 if exp.seeded else 0  # an unseeded experiment refuses a seed
-        flag_dir, run_dir = tmp_path / "flags", tmp_path / "run"
-        flag_dir.mkdir()
-        if exp.params is None:
+        flag_dir, run_dir = tmp_path / "flags", tmp_path / "run"  # neither exists yet
+        if callable(exp.params):
             config = tmp_path / "train.json"
             config.write_text(json.dumps({**spec, "seed": seed}))
             argv = ["--config", str(config)]
