@@ -12,21 +12,35 @@ and all reach the entry's one function through _dispatch.  Exit codes:
     3  a runtime verification did not hold
     4  numerical or IO fault
     5  energy injection did not help (low-dimensional overshoot caveat)
-
-FLOWLAG_THREADS caps the numerical thread pools; it must take effect
-before the first numpy import, which is why the heavy imports below
-happen inside main().
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
+
+from .datasets import make_dataset
+from .diagnostics import (FldReport, lag_improvement, norm_profile, reference_from_dataset,
+                          split_half_fld, track_fld)
+from .errors import CheckFailedError, ConfigError
+from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample, cross_term_expectation,
+                              jensen_gap, marginal_variance, rho_statistics, typical_shell_point)
+from .interpolant import PATH_KINDS, LinearPath, make_interpolant
+from .nn import load_checkpoint
+from .reporting import read_csv, write_csv, write_manifest
+from .rng import rng_for
+from .schema import REQUIRED, Param, params_of, validated
+from .solver import (SOLVER_METHODS, ScaleSchedule, SolverSpec, calibrate_s_start, integrate,
+                     load_trajectory, parse_schedule, save_trajectory)
+from .svg import write_line_chart
+from .training import TRAIN_CHOICES, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,18 +54,7 @@ OVERSHOOT_CAVEAT = (
     "overshoot the target manifold instead of correcting lag")
 
 
-def _cap_threads() -> None:
-    cap = os.environ.get("FLOWLAG_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _cap_threads()
-    from .errors import CheckFailedError, ConfigError
-
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
@@ -70,89 +73,31 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
-# -- the experiment table: parameters --------------------------------------
-
-_REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class Param:
-    """One experiment parameter: flag ``--name-with-dashes``, spec key ``name``.
-
-    ``type`` is int, float, str or bool (dict for the run envelope's spec).
-    A ``many`` parameter is a list: comma-separated text as a flag, a JSON
-    list in a spec.
-    """
-
-    name: str
-    type: type
-    default: object = _REQUIRED
-    help: str | None = None
-    choices: tuple | None = None
-    many: bool = False
+# -- the experiment table: entries and flags -------------------------------
 
 
 @dataclass(frozen=True)
 class Experiment:
     """``func(params, seed, out)`` runs the experiment and returns its exit code.
 
-    ``params`` is a function for train: its parameters are TrainConfig's
-    fields, read after the thread cap (training imports numpy); its flag is --config.
-    ``out`` is "dir" (a directory), "bin" or "csv" (a file; a CSV without
-    --out goes to stdout) or None; run writes a file output to
-    <out_dir>/<name>.<out>.  An experiment that is not ``seeded`` takes no seed.
+    train's parameters are TrainConfig's fields but its seed; its one flag
+    is --config, a train config file.  ``out`` is "dir" (a directory), "bin"
+    or "csv" (a file; a CSV without --out goes to stdout) or None; run
+    writes a file output to <out_dir>/<name>.<out>.  An experiment that is
+    not ``seeded`` takes no seed.
     """
 
     name: str
     command: str
     help: str
     func: Callable
-    params: tuple | Callable
+    params: tuple
     out: str | None = "csv"
     seeded: bool = True
 
 
 _SEED = Param("seed", int, 0)
 _ENVELOPE = (Param("experiment", str), Param("out_dir", str), _SEED, Param("spec", dict))
-
-
-def _typed(value, p: Param):
-    """A JSON value as ``p.type``: an integer serves as a float, a boolean only as a bool."""
-    if (not isinstance(value, (int, float) if p.type is float else p.type)
-            or isinstance(value, bool) is not (p.type is bool)):
-        raise TypeError
-    return p.type(value)
-
-
-def _validated(what: str, params: tuple, spec) -> dict:
-    """``spec`` checked against ``params``, with defaults filled in; ConfigError otherwise."""
-    from .errors import ConfigError
-
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    unknown = set(spec) - {p.name for p in params}
-    if unknown:
-        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    out = {}
-    for p in params:
-        value = spec.get(p.name, p.default)
-        if value is _REQUIRED:
-            raise ConfigError(f"{what} requires {p.name!r}")
-        if p.name in spec and not (value is None and p.default is None):
-            try:
-                if p.many and not isinstance(value, list):
-                    raise TypeError
-                value = [_typed(v, p) for v in value] if p.many else _typed(value, p)
-            except TypeError:
-                kind = f"list of {p.type.__name__}" if p.many else p.type.__name__
-                raise ConfigError(f"{what} field {p.name!r} must be a {kind}, "
-                                  f"got {spec[p.name]!r}") from None
-            if p.choices and value not in p.choices:
-                raise ConfigError(f"{what} field {p.name!r} must be one of {p.choices}")
-        out[p.name] = value
-    return out
-
-
 _GROUPS = {"oracle": "closed-form Gaussian oracle measurements",
            "diagnose": "norm profiles and distance tracking"}
 _OUT_HELP = {"dir": "artifact directory", "bin": "trajectory file (binary)",
@@ -166,10 +111,13 @@ def _add_flag(parser, p: Param) -> None:
         return
 
     def parse_list(text):
-        return [p.type(v) for v in text.split(",") if v]
+        values = [p.type(v) for v in text.split(",") if v]
+        if not values:
+            raise ValueError("no values")
+        return values
 
     parse_list.__name__ = f"comma-separated {p.type.__name__}"  # argparse errors name it
-    value = {"required": True} if p.default is _REQUIRED else {"default": p.default}
+    value = {"required": True} if p.default is REQUIRED else {"default": p.default}
     parser.add_argument(flag, type=parse_list if p.many else p.type, choices=p.choices,
                         help=p.help, **value)
 
@@ -189,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command")
             where = groups[words[0]]
         p = where.add_parser(words[-1], help=exp.help)
-        if callable(exp.params):  # train: the seed is a field of its config file
+        if exp.name == "train":  # its seed is a field of its config file
             p.add_argument("--config", required=True, type=Path)
         else:
             for param in exp.params + ((_SEED,) if exp.seeded else ()):
@@ -207,9 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _from_flags(args) -> int:
     exp = args.experiment
-    if callable(exp.params):
-        params = _validated("train config", exp.params() + (_SEED,),
-                            json.loads(Path(args.config).read_text()))
+    if exp.name == "train":
+        params = validated("train config", exp.params + (_SEED,),
+                           json.loads(Path(args.config).read_text()))
         seed = params.pop("seed")
     else:
         params = {p.name: getattr(args, p.name) for p in exp.params}
@@ -219,10 +167,8 @@ def _from_flags(args) -> int:
 
 def _cmd_run(args) -> int:
     """Run one experiment from a JSON document: experiment, out_dir, seed and spec."""
-    from .errors import ConfigError
-
-    env = _validated("experiment config", _ENVELOPE,
-                     json.loads(Path(args.config).read_text()))
+    env = validated("experiment config", _ENVELOPE,
+                    json.loads(Path(args.config).read_text()))
     exp = EXPERIMENTS.get(env["experiment"])
     if exp is None:
         raise ConfigError(f"unknown experiment {env['experiment']!r}; "
@@ -232,7 +178,7 @@ def _cmd_run(args) -> int:
         raise ConfigError("the seed belongs in the experiment config, not in 'spec'")
     if not exp.seeded and env["seed"] != _SEED.default:
         raise ConfigError(f"{exp.name} takes no seed")
-    params = _validated(exp.name, exp.params() if callable(exp.params) else exp.params, spec)
+    params = validated(exp.name, exp.params, spec)
     out = Path(env["out_dir"])
     if exp.out in ("bin", "csv"):
         out = out / f"{exp.name}.{exp.out}"
@@ -241,36 +187,15 @@ def _cmd_run(args) -> int:
 
 def _dispatch(exp: Experiment, params: dict, seed: int, out) -> int:
     """Create the output's directory, write the manifest there, then run the experiment."""
-    from .reporting import write_manifest
-
     if out is not None:
         write_manifest(out if exp.out == "dir" else Path(out).parent, exp.name, params, seed)
     return exp.func(params, seed, out)
-
-
-def _train_params() -> tuple:
-    """train's parameters: TrainConfig's fields but its seed, which is the run's.
-    A ``tuple[int, ...]`` field (hidden) is a list of int."""
-    from dataclasses import MISSING, fields
-    from typing import get_args, get_type_hints
-
-    from .training import TrainConfig
-
-    hints = get_type_hints(TrainConfig)
-    return tuple(Param(f.name, (get_args(hints[f.name]) or (hints[f.name],))[0],
-                       _REQUIRED if f.default is MISSING else f.default,
-                       many=bool(get_args(hints[f.name])))
-                 for f in fields(TrainConfig) if f.name != "seed")
 
 
 # -- helpers ----------------------------------------------------------------
 
 
 def _load_net(path):
-    from .errors import ConfigError
-    from .interpolant import make_interpolant
-    from .nn import load_checkpoint
-
     ck = load_checkpoint(path)
     train_config = ck.extra.get("train_config")
     if train_config is None:
@@ -280,9 +205,6 @@ def _load_net(path):
 
 
 def _reference_for(dataset_spec: dict, n_samples: int, seed: int):
-    from .datasets import make_dataset
-    from .diagnostics import reference_from_dataset
-
     dataset = make_dataset(dataset_spec)
     ref = reference_from_dataset(dataset, n_empirical=n_samples, seed=seed)
     kind = "analytic" if ref.n_samples == 0 else f"empirical:{ref.n_samples}"
@@ -290,14 +212,13 @@ def _reference_for(dataset_spec: dict, n_samples: int, seed: int):
 
 
 def _parse_reference(text: str, n_samples: int, seed: int):
-    from .errors import ConfigError
-
     if text.startswith("gaussian:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("gaussian reference must look like gaussian:DIM:STD")
-        return _reference_for({"kind": "gaussian", "dim": int(parts[1]),
-                               "std": float(parts[2])}, n_samples, seed)
+        try:
+            _, dim, std = text.split(":")
+            block = {"kind": "gaussian", "dim": int(dim), "std": float(std)}
+        except ValueError:
+            raise ConfigError("gaussian reference must look like gaussian:DIM:STD") from None
+        return _reference_for(block, n_samples, seed)
     if text.strip().startswith("{"):
         return _reference_for(json.loads(text), n_samples, seed)
     raise ConfigError(f"cannot parse reference {text!r}")
@@ -306,9 +227,6 @@ def _parse_reference(text: str, n_samples: int, seed: int):
 def _report(out, header, rows, failures=()) -> None:
     """Rows as a CSV at ``out``, or on stdout; then CheckFailedError if any
     check in ``failures`` did not hold."""
-    from .errors import CheckFailedError
-    from .reporting import write_csv
-
     write_csv(sys.stdout if out is None else out, header, rows)
     if out is not None:
         print(f"wrote {out}")
@@ -318,8 +236,6 @@ def _report(out, header, rows, failures=()) -> None:
 
 def _chart(svg, times, series: dict, title: str, ylabel: str) -> None:
     if svg is not None:
-        from .svg import write_line_chart
-
         write_line_chart(svg, times, series, title=title, xlabel="t", ylabel=ylabel)
         print(f"wrote {svg}")
 
@@ -328,8 +244,6 @@ def _chart(svg, times, series: dict, title: str, ylabel: str) -> None:
 
 
 def _train(params, seed, out) -> int:
-    from .training import TrainConfig, train
-
     config = TrainConfig(**params, seed=seed)
     result = train(config, out_dir=out)
     final = result.history[-1]
@@ -340,8 +254,6 @@ def _train(params, seed, out) -> int:
 
 
 def _sample(params, seed, out) -> int:
-    from .solver import SolverSpec, integrate, parse_schedule, save_trajectory
-
     ck, interp, _ = _load_net(params["checkpoint"])
     spec = SolverSpec(method=params["method"], nfe=params["nfe"],
                       schedule=parse_schedule(params["schedule"]),
@@ -354,10 +266,6 @@ def _sample(params, seed, out) -> int:
 
 
 def _oracle_jensen(params, seed, out) -> int:
-    from .gaussian_oracle import GaussianFlowSpec, jensen_gap, typical_shell_point
-    from .interpolant import make_interpolant
-    from .rng import rng_for
-
     spec = GaussianFlowSpec(dim=params["dim"], data_std=params["data_std"])
     interp = make_interpolant(params["path"])
     rng = rng_for(seed, "oracle:jensen")
@@ -376,13 +284,6 @@ def _oracle_jensen(params, seed, out) -> int:
 
 
 def _oracle_cross_term(params, seed, out) -> int:
-    from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample,
-                                  cross_term_expectation, marginal_variance)
-    from .interpolant import LinearPath
-    from .rng import rng_for
-
-    import numpy as np
-
     dim, n_mc = params["dim"], params["n_mc"]
     spec = GaussianFlowSpec(dim=dim, data_std=params["data_std"])
     interp = LinearPath()
@@ -408,8 +309,6 @@ def _oracle_cross_term(params, seed, out) -> int:
 
 
 def _rho_stats(params, seed, out) -> int:
-    from .gaussian_oracle import rho_statistics
-
     stats = rho_statistics(params["dim"], params["pairs"], data_std=params["data_std"],
                            seed=seed)
     _report(out, ("dim", "mean_rho", "p99_rho", "max_rho"),
@@ -418,18 +317,13 @@ def _rho_stats(params, seed, out) -> int:
 
 
 def _diagnose_norm(params, seed, out) -> int:
-    import numpy as np
-
-    from .datasets import make_dataset
-    from .diagnostics import norm_profile
-    from .errors import ConfigError
-
     ck, interp, train_config = _load_net(params["checkpoint"])
     dataset = make_dataset(train_config["dataset"])
-    parts = params["grid"].split(":")
-    if len(parts) != 3:
-        raise ConfigError("grid must look like start:stop:count")
-    times = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+    try:
+        start, stop, count = params["grid"].split(":")
+        times = np.linspace(float(start), float(stop), int(count))
+    except ValueError:
+        raise ConfigError("grid must look like start:stop:count") from None
     profile = norm_profile(ck.net.forward, interp, dataset, times,
                            n_samples=params["samples"], seed=seed)
     stderr = profile.std / np.sqrt(params["samples"])
@@ -441,14 +335,6 @@ def _diagnose_norm(params, seed, out) -> int:
 
 
 def _diagnose_fld(params, seed, out) -> int:
-    import hashlib
-
-    from .diagnostics import split_half_fld, track_fld
-    from .rng import rng_for
-    from .solver import load_trajectory
-
-    import numpy as np
-
     traj = load_trajectory(params["traj"])
     reference, ref_id = _parse_reference(params["reference"], params["reference_samples"],
                                          seed)
@@ -472,12 +358,6 @@ def _diagnose_fld(params, seed, out) -> int:
 
 
 def _diagnose_lag(params, seed, out) -> int:
-    import numpy as np
-
-    from .diagnostics import FldReport, lag_improvement
-    from .errors import ConfigError
-    from .reporting import read_csv
-
     paths, refs = (params["baseline"], params["corrected"]), []
     for path in paths:
         try:
@@ -507,11 +387,6 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
 
     Below the s_start rows come two contrasts: the same injection at the
     end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05)."""
-    from .errors import CheckFailedError
-    from .diagnostics import track_fld
-    from .reporting import write_csv
-    from .solver import ScaleSchedule, SolverSpec, integrate
-
     ck, interp, train_config = _load_net(params["checkpoint"])
     reference, ref_id = _reference_for(train_config["dataset"], 8192, seed)
     out_dir = Path(out_dir)
@@ -573,8 +448,6 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
 
 
 def _schedule_calibrate(params, seed, out) -> int:
-    from .solver import ScaleSchedule, calibrate_s_start
-
     shape, s_end = params["shape"], params["s_end"]
     s_start = calibrate_s_start(shape, s_end=s_end, target_area=params["area"])
     check = ScaleSchedule(shape, s_start, s_end).area()
@@ -586,7 +459,7 @@ def _schedule_calibrate(params, seed, out) -> int:
 # -- the experiment table ---------------------------------------------------
 
 _CHECKPOINT = Param("checkpoint", str)
-_METHOD = Param("method", str, "euler", choices=("euler", "heun", "euler-maruyama"))
+_METHOD = Param("method", str, SolverSpec.method, choices=SOLVER_METHODS)
 _PARTICLES = Param("particles", int, 8192)
 _RECORD_TIMES = Param("checkpoints", float, (0.2, 0.4, 0.6, 0.8, 1.0),
                       help="comma-separated recording times", many=True)
@@ -597,14 +470,15 @@ _SVG = Param("svg", str, None)
 
 EXPERIMENTS = {exp.name: exp for exp in (
     Experiment("train", "train", "train a velocity network from a JSON config", _train,
-               _train_params, out="dir"),
+               tuple(p for p in params_of(TrainConfig, TRAIN_CHOICES) if p.name != "seed"),
+               out="dir"),
     Experiment("sample", "sample", "integrate particles from a trained checkpoint", _sample, (
-        _CHECKPOINT, Param("nfe", int, 50),
+        _CHECKPOINT, Param("nfe", int, SolverSpec.nfe),
         Param("schedule", str, "constant-one", help="shape:s_start:s_end, e.g. linear:1.1:1.0"),
         _METHOD, _PARTICLES, _RECORD_TIMES), out="bin"),
     Experiment("oracle-jensen", "oracle jensen", "learned vs target kinetic energy",
                _oracle_jensen, (
-        _DIM, _DATA_STD, Param("path", str, "linear"),
+        _DIM, _DATA_STD, Param("path", str, "linear", choices=PATH_KINDS),
         Param("t", float, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), many=True), _N_MC)),
     Experiment("oracle-cross-term", "oracle cross-term",
                "conditional cross-term, closed form vs MC", _oracle_cross_term, (

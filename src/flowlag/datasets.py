@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-
-DATASET_KINDS = ("gaussian", "gaussian-mixture", "checkerboard", "two-moons")
+from .schema import params_of, validated
 
 
 class GaussianData:
@@ -43,6 +42,8 @@ class GaussianMixtureData:
 
     def __init__(self, dim: int, components: int = 4, spread: float = 2.0,
                  component_std: float = 0.5, layout_seed: int = 0):
+        if dim < 1:
+            raise ConfigError(f"mixture dim must be >= 1, got {dim}")
         if components < 2:
             raise ConfigError("mixture needs at least 2 components")
         self.dim = int(dim)
@@ -102,36 +103,17 @@ class TwoMoonsData:
         return None
 
 
+DATASETS = {cls.kind: cls for cls in (GaussianData, GaussianMixtureData, CheckerboardData,
+                                      TwoMoonsData)}
+
+
 def make_dataset(spec: dict):
-    """Build a dataset from a config block; unknown fields are rejected."""
+    """Build a dataset from a config block, checked against its kind's constructor."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("dataset block must be a mapping with a 'kind' field")
     spec = dict(spec)
     kind = spec.pop("kind")
-    try:
-        if kind == "gaussian":
-            return GaussianData(**_take(spec, {"dim": None, "std": 1.0}))
-        if kind == "gaussian-mixture":
-            return GaussianMixtureData(**_take(spec, {
-                "dim": None, "components": 4, "spread": 2.0,
-                "component_std": 0.5, "layout_seed": 0}))
-        if kind == "checkerboard":
-            _take(spec, {})
-            return CheckerboardData()
-        if kind == "two-moons":
-            return TwoMoonsData(**_take(spec, {"noise": 0.05}))
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown dataset kind {kind!r}; expected one of {DATASET_KINDS}")
-
-
-def _take(spec: dict, fields: dict) -> dict:
-    unknown = set(spec) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown dataset fields: {sorted(unknown)}")
-    missing = [k for k, default in fields.items() if default is None and k not in spec]
-    if missing:
-        raise ConfigError(f"missing dataset fields: {missing}")
-    out = {k: default for k, default in fields.items() if default is not None}
-    out.update(spec)
-    return out
+    cls = DATASETS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown dataset kind {kind!r}; expected one of {tuple(DATASETS)}")
+    return cls(**validated(f"{kind} dataset", params_of(cls), spec))

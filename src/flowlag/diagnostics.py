@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckFailedError
+from .errors import CheckFailedError, ConfigError
 from .rng import rng_for
 from .solver import Trajectory
 
@@ -131,8 +131,10 @@ def norm_profile(field, interp, dataset, times, n_samples: int = 4096,
     the constant transport norm in the straight-path case.
     """
     if n_samples < 1000:
-        raise ValueError("need n_samples >= 1000 for a stable profile")
+        raise ConfigError("need n_samples >= 1000 for a stable profile")
     times = np.asarray(times, dtype=np.float64)
+    if not (times.size and np.all(np.diff(times) > 0) and 0.0 <= times[0] <= times[-1] <= 1.0):
+        raise ConfigError(f"profile times must increase within [0, 1], got {times}")
     rng = rng_for(seed, "norm-profile")
     x1 = dataset.sample(n_samples, rng)
     x0 = rng.standard_normal((n_samples, dataset.dim))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedPathError
+from .errors import ConfigError, UnsupportedPathError
 from .interpolant import Interpolant, _bcast, _check_time
 
 
@@ -34,9 +34,9 @@ class GaussianFlowSpec:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+            raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if not self.data_std > 0.0:
-            raise ValueError(f"data_std must be positive, got {self.data_std}")
+            raise ConfigError(f"data_std must be positive, got {self.data_std}")
 
 
 def marginal_variance(spec: GaussianFlowSpec, interp: Interpolant, t):
@@ -192,7 +192,7 @@ def jensen_gap(spec, interp, x, t, n_mc: int, rng: np.random.Generator) -> Jense
     the comparison is conclusive rather than silently passing.
     """
     if n_mc < 1000:
-        raise ValueError(f"n_mc must be >= 1000 to resolve the gap, got {n_mc}")
+        raise ConfigError(f"n_mc must be >= 1000 to resolve the gap, got {n_mc}")
     x = _asarray_dim(x, spec.dim)
     t = float(_check_time(t))
     v_star = oracle_velocity(spec, interp, x, t)
@@ -238,8 +238,10 @@ def rho_statistics(dim: int, n_pairs: int, data_std: float = 1.0, seed: int = 0,
     Gamma((D+1)/2) / (sqrt(pi) (D/2) Gamma(D/2)), approximately
     sqrt(2 / (pi D)) at large D.
     """
+    if dim < 1:
+        raise ConfigError(f"dim must be >= 1, got {dim}")
     if n_pairs < 10_000:
-        raise ValueError(f"n_pairs must be >= 10000, got {n_pairs}")
+        raise ConfigError(f"n_pairs must be >= 10000, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim]))
     vals = np.empty(n_pairs)
     done = 0

@@ -91,8 +91,8 @@ def calibrate_s_start(shape: str, s_end: float, target_area: float) -> float:
         raise ConfigError(f"cannot calibrate shape {shape!r}")
     s_start = s_end + (target_area - s_end) / _BUMP_AREA[shape]
     if s_start < 0.0:
-        raise ValueError(f"target area {target_area} is infeasible for shape {shape} "
-                         f"with s_end {s_end}")
+        raise ConfigError(f"target area {target_area} is infeasible for shape {shape} "
+                          f"with s_end {s_end}")
     return s_start
 
 

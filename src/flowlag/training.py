@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import make_dataset
+from .diagnostics import norm_profile
 from .errors import ConfigError, TrainingDivergedError
 from .interpolant import make_interpolant, PATH_KINDS
 from .nn import Adam, Mlp, save_checkpoint
@@ -26,6 +27,10 @@ from .rng import rng_for
 from .solver import _BUMP_AREA, _bump
 
 MAFM_SHAPES = tuple(_BUMP_AREA)
+# the values each string field of TrainConfig accepts
+TRAIN_CHOICES = {"path": PATH_KINDS, "loss": ("fm", "mafm"), "mafm_shape": MAFM_SHAPES,
+                 "magnitude_target": ("displacement", "path"),
+                 "precision": ("float64", "float32"), "lr_schedule": ("constant", "cosine")}
 
 # keeps the exponential path's d_sigma tail out of training batches
 # (it grows like 1/sqrt(1-t) and its second moment is log-divergent)
@@ -80,7 +85,7 @@ def mafm_loss(net: Mlp, interp, x0, x1, t, lam0: float = 0.2, shape: str = "line
     speed penalty uses subgradient 0, so the update is deterministic.
     """
     x0, x1, t = _check_batch(x0, x1, t)
-    if magnitude_target not in ("displacement", "path"):
+    if magnitude_target not in TRAIN_CHOICES["magnitude_target"]:
         raise ValueError(f"unknown magnitude target {magnitude_target!r}")
     b = x0.shape[0]
     xt = interp.sample_xt(x0, x1, t)
@@ -127,18 +132,9 @@ class TrainConfig:
     profile_every: int = 0
 
     def __post_init__(self):
-        if self.path not in PATH_KINDS:
-            raise ConfigError(f"unknown path {self.path!r}")
-        if self.loss not in ("fm", "mafm"):
-            raise ConfigError(f"loss must be 'fm' or 'mafm', got {self.loss!r}")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.mafm_shape not in MAFM_SHAPES:
-            raise ConfigError(f"unknown mafm shape {self.mafm_shape!r}")
-        if self.magnitude_target not in ("displacement", "path"):
-            raise ConfigError(f"unknown magnitude target {self.magnitude_target!r}")
-        if self.precision not in ("float64", "float32"):
-            raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
+        for name, allowed in TRAIN_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name in ("batch_size", "steps", "log_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -238,8 +234,6 @@ def _divergence_snapshot(net: Mlp, step: int, parts: LossBreakdown) -> dict:
 
 
 def _write_norm_profile(path: Path, net, interp, dataset, seed: int) -> None:
-    from .diagnostics import norm_profile  # deferred: diagnostics imports nothing back
-
     profile = norm_profile(net.forward, interp, dataset, np.linspace(0.05, 0.95, 19),
                            n_samples=2048, seed=seed)
     # tolist() turns float32 elements into Python floats, which write_csv writes as %.17g

@@ -28,10 +28,6 @@ class TestScheduleCalibrate:
         out = capsys.readouterr().out
         assert "s_start = 1.075" in out
 
-    def test_infeasible_area_is_runtime_error(self):
-        code = run_cli("schedule-calibrate", "--shape", "linear", "--area", "-5.0")
-        assert code == 4
-
     @pytest.mark.parametrize("error,code", [(CheckFailedError, EXIT_CHECK),
                                             (AssertionError, EXIT_RUNTIME)])
     def test_only_failed_checks_exit_3(self, monkeypatch, capsys, error, code):
@@ -302,10 +298,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("bad", [{"steps": "10"}, {"steps": 10.5}, {"learning_rate": "1e-3"},
                                      {"batch_size": True}, {"seed": 7.9}, {"hidden": [4.7]},
-                                     {"lam0": True}, {"decay": 0.1}])
+                                     {"lam0": True}, {"decay": 0.1}, {"loss": "mse"},
+                                     {"path": "LINEAR"}, {"precision": "float16"},
+                                     {"hidden": []}])
     @pytest.mark.parametrize("door", ["train", "run"])
     def test_bad_train_fields_exit_2(self, tmp_path, door, bad):
-        """An ill-typed or unknown train config field is refused before anything is written."""
+        """An ill-typed or unknown train config field, or a value outside its field's
+        choices, is refused before anything is written."""
         out_dir = tmp_path / "train"
         spec = {"dataset": {"kind": "gaussian", "dim": 4}, "steps": 5, **bad}
         cfg = tmp_path / "cfg.json"
@@ -319,6 +318,16 @@ class TestRunExperiment:
             argv = ["run", "--config", str(cfg)]
         assert run_cli(*argv) == EXIT_CONFIG
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("dataset", [{"kind": "gaussian", "dim": 4.7},
+                                         {"kind": "two-moons", "noise": "0.1"}])
+    def test_bad_dataset_fields_exit_2(self, tmp_path, dataset):
+        """A dataset block is checked against its kind's constructor: the run
+        leaves its manifest, then exits 2 without training."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": dataset, "steps": 5}))
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert not (tmp_path / "o" / "loss.csv").exists()
 
     @pytest.mark.parametrize("door", ["sample", "run"])
     def test_failure_after_validation_leaves_manifest(self, tmp_path, door):
@@ -358,6 +367,47 @@ class TestRunExperiment:
             code = exc.code
         assert code == EXIT_CONFIG
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "rho", "--dim", "8", "--pairs", "50"],
+    ["oracle", "rho", "--dim", "0", "--pairs", "10000"],
+    ["diagnose", "norm", "--checkpoint", "CK", "--samples", "500"],
+    ["diagnose", "norm", "--checkpoint", "CK", "--grid", "0.5:0.1:3"],
+    ["diagnose", "norm", "--checkpoint", "CK", "--grid", "a:b:c"],
+    ["oracle", "jensen", "--dim", "4", "--n-mc", "10"],
+    ["oracle", "jensen", "--dim", "0"],
+    ["oracle", "jensen", "--dim", "4", "--path", "LINEAR"],
+    ["oracle", "jensen", "--dim", "4", "--path", "foo"],
+    ["oracle", "jensen", "--dim", "4", "--t", ","],
+    ["schedule-calibrate", "--shape", "linear", "--area", "-5.0"],
+    ["diagnose", "fld", "--traj", "TRAJ", "--reference", "gaussian:x:1"],
+    ["diagnose", "fld", "--traj", "TRAJ", "--reference", '{"kind": "gaussian", "dim": 4.5}'],
+    ["lag-sweep", "--checkpoint", "CK", "--nfe", ",", "--particles", "64"],
+])
+def test_argument_problems_exit_2(argv, tiny_run, fld_inputs, tmp_path):
+    """An argument the experiment refuses exits 2, whether argparse or the
+    experiment refuses it, and leaves no result."""
+    names = {"CK": str(tiny_run.checkpoint_path), "TRAJ": fld_inputs[0]}
+    out = tmp_path / "out" / ("sweep" if argv[0] == "lag-sweep" else "result.csv")
+    out_flag = [] if argv[0] == "schedule-calibrate" else ["--out", str(out)]
+    try:
+        code = run_cli(*[names.get(a, a) for a in argv], *out_flag)
+    except SystemExit as exc:  # argparse refuses a value outside a flag's type or choices
+        code = exc.code
+    assert code == EXIT_CONFIG
+    assert not out.is_file() and not (out / "lag_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("spec", [{"nfe": []}, {"s_start": []}, {"checkpoints": []}])
+def test_empty_list_in_spec_exits_2(spec, tiny_run, tmp_path):
+    """A list-valued parameter needs at least one value in a run spec too."""
+    cfg = tmp_path / "exp.json"
+    out_dir = tmp_path / "never"
+    cfg.write_text(json.dumps({"experiment": "lag-sweep", "out_dir": str(out_dir), "spec": {
+        "checkpoint": str(tiny_run.checkpoint_path), "particles": 64, **spec}}))
+    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    assert not out_dir.exists()
 
 
 @pytest.fixture(scope="module")
@@ -428,7 +478,7 @@ class TestFlagsMatchRun:
         spec = self.specs(str(tiny_run.checkpoint_path), *fld_inputs)[name]
         seed = 3 if exp.seeded else 0  # an unseeded experiment refuses a seed
         flag_dir, run_dir = tmp_path / "flags", tmp_path / "run"  # neither exists yet
-        if callable(exp.params):
+        if name == "train":  # its flags are one config file
             config = tmp_path / "train.json"
             config.write_text(json.dumps({**spec, "seed": seed}))
             argv = ["--config", str(config)]
@@ -468,14 +518,37 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "s_start = 1.1" in proc.stdout
 
-    def test_thread_cap_env(self):
-        # a minimal environment, except that the child must import the same
-        # flowlag as this process, installed or not
-        package_root = str(Path(flowlag.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-m", "flowlag.cli", "oracle", "rho",
-                               "--dim", "32", "--pairs", "10000"],
-                              capture_output=True, text=True,
-                              env={"PATH": "/usr/bin:/bin", "FLOWLAG_THREADS": "1",
-                                   "PYTHONPATH": package_root})
-        assert proc.returncode == 0
-        assert "mean_rho" in proc.stdout
+    CHILDREN = {
+        # flowlag.cli run as `python -m flowlag.cli` runs it
+        "cli": "import runpy, sys\n"
+               "sys.argv = ['flowlag', 'oracle', 'rho', '--dim', '32', '--pairs', '10000']\n"
+               "try:\n"
+               "    runpy.run_module('flowlag.cli', run_name='__main__', alter_sys=True)\n"
+               "except SystemExit as exc:\n"
+               "    assert exc.code == 0\n",
+        "library": "import flowlag.training\n",
+    }
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    @pytest.mark.parametrize("child", list(CHILDREN))
+    def test_thread_cap_env(self, child):
+        """FLOWLAG_THREADS caps the pools of any process that imports flowlag before
+        numpy: the child counts its own threads after the work."""
+        code = self.CHILDREN[child] + "import os\nprint(len(os.listdir('/proc/self/task')))\n"
+
+        def threads(extra_env):
+            # a minimal environment, except that the child must import the same
+            # flowlag as this process, installed or not
+            env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(flowlag.__file__).parents[1]),
+                   **extra_env}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            if child == "cli":
+                assert "mean_rho" in proc.stdout
+            return int(proc.stdout.split()[-1])
+
+        uncapped = threads({})
+        if uncapped < 2:
+            pytest.skip("numpy starts no worker threads here even uncapped")
+        assert threads({"FLOWLAG_THREADS": "1"}) < uncapped

@@ -92,3 +92,18 @@ class TestMakeDataset:
             make_dataset({"kind": "gaussian", "dim": 0})
         with pytest.raises(ConfigError):
             make_dataset({"kind": "gaussian", "dim": 2, "std": -1.0})
+
+    @pytest.mark.parametrize("block", [{"kind": "gaussian", "dim": 4.7},
+                                       {"kind": "gaussian", "dim": True},
+                                       {"kind": "gaussian", "dim": 4, "std": "2"},
+                                       {"kind": "two-moons", "noise": "0.1"},
+                                       {"kind": "gaussian-mixture", "dim": 0},
+                                       {"kind": "checkerboard", "dim": 2},
+                                       {"kind": ["gaussian"], "dim": 4}])
+    def test_ill_typed_or_out_of_range_field_rejected(self, block):
+        """Each field must have its constructor argument's JSON type and range."""
+        with pytest.raises(ConfigError):
+            make_dataset(block)
+
+    def test_integer_serves_as_float(self):
+        assert make_dataset({"kind": "gaussian", "dim": 3, "std": 2}).std == 2.0
