@@ -31,7 +31,8 @@ from .diagnostics import (FldReport, lag_improvement, norm_profile, reference_fr
                           split_half_fld, track_fld)
 from .errors import CheckFailedError, ConfigError
 from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample, cross_term_expectation,
-                              jensen_gap, marginal_variance, rho_statistics, typical_shell_point)
+                              jensen_gap, marginal_variance, require_n_mc, rho_statistics,
+                              typical_shell_point)
 from .interpolant import PATH_KINDS, LinearPath, make_interpolant
 from .nn import load_checkpoint
 from .reporting import read_csv, write_csv, write_manifest
@@ -80,15 +81,15 @@ def main(argv=None) -> int:
 class Experiment:
     """``func(params, seed, out)`` runs the experiment and returns its exit code.
 
-    train's parameters are TrainConfig's fields but its seed; its one flag
-    is --config, a train config file.  ``out`` is "dir" (a directory), "bin"
-    or "csv" (a file; a CSV without --out goes to stdout) or None; run
-    writes a file output to <out_dir>/<name>.<out>.  An experiment that is
-    not ``seeded`` takes no seed.
+    A name whose first word is a key of _GROUPS is a nested subcommand
+    ('oracle-rho' is ``flowlag oracle rho``).  train's parameters are
+    TrainConfig's fields but its seed; its one flag is --config, a train
+    config file.  ``out`` is "dir" (a directory), "bin" or "csv" (a file; a
+    CSV without --out goes to stdout) or None; run writes a file output to
+    <out_dir>/<name>.<out>.  An experiment that is not ``seeded`` takes no seed.
     """
 
     name: str
-    command: str
     help: str
     func: Callable
     params: tuple
@@ -122,6 +123,12 @@ def _add_flag(parser, p: Param) -> None:
                         help=p.help, **value)
 
 
+def _words(name: str) -> list:
+    """The subcommand words of the experiment ``name``."""
+    group, _, rest = name.partition("-")
+    return [group, rest] if group in _GROUPS else [name]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowlag",
@@ -129,14 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     groups = {}
     for exp in EXPERIMENTS.values():
-        words = exp.command.split()
+        *group, command = _words(exp.name)
         where = sub
-        if len(words) == 2:
-            if words[0] not in groups:
-                group = sub.add_parser(words[0], help=_GROUPS[words[0]])
-                groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command")
-            where = groups[words[0]]
-        p = where.add_parser(words[-1], help=exp.help)
+        if group:
+            if group[0] not in groups:
+                parent = sub.add_parser(group[0], help=_GROUPS[group[0]])
+                groups[group[0]] = parent.add_subparsers(dest=f"{group[0]}_command")
+            where = groups[group[0]]
+        p = where.add_parser(command, help=exp.help)
         if exp.name == "train":  # its seed is a field of its config file
             p.add_argument("--config", required=True, type=Path)
         else:
@@ -186,9 +193,11 @@ def _cmd_run(args) -> int:
 
 
 def _dispatch(exp: Experiment, params: dict, seed: int, out) -> int:
-    """Create the output's directory, write the manifest there, then run the experiment."""
+    """Write the output's manifest, then run the experiment: a file output X's
+    manifest is X.json, a directory output's is manifest.json inside it."""
     if out is not None:
-        write_manifest(out if exp.out == "dir" else Path(out).parent, exp.name, params, seed)
+        manifest = Path(out) / "manifest.json" if exp.out == "dir" else Path(f"{out}.json")
+        write_manifest(manifest, exp.name, params, seed)
     return exp.func(params, seed, out)
 
 
@@ -204,24 +213,31 @@ def _load_net(path):
     return ck, interp, train_config
 
 
-def _reference_for(dataset_spec: dict, n_samples: int, seed: int):
-    dataset = make_dataset(dataset_spec)
+def _reference(spec, n_samples: int, seed: int):
+    """(moments, kind id) of the target ``spec``: a dataset block, its JSON text,
+    or 'gaussian:DIM:STD'.  A dataset without analytic moments is fit on draws."""
+    if isinstance(spec, str) and spec.startswith("gaussian:"):
+        try:
+            _, dim, std = spec.split(":")
+            spec = {"kind": "gaussian", "dim": int(dim), "std": float(std)}
+        except ValueError:
+            raise ConfigError("gaussian reference must look like gaussian:DIM:STD") from None
+    elif isinstance(spec, str) and spec.strip().startswith("{"):
+        spec = json.loads(spec)
+    elif isinstance(spec, str):
+        raise ConfigError(f"cannot parse reference {spec!r}")
+    dataset = make_dataset(spec)
     ref = reference_from_dataset(dataset, n_empirical=n_samples, seed=seed)
     kind = "analytic" if ref.n_samples == 0 else f"empirical:{ref.n_samples}"
     return ref, f"{dataset.kind}:{kind}"
 
 
-def _parse_reference(text: str, n_samples: int, seed: int):
-    if text.startswith("gaussian:"):
-        try:
-            _, dim, std = text.split(":")
-            block = {"kind": "gaussian", "dim": int(dim), "std": float(std)}
-        except ValueError:
-            raise ConfigError("gaussian reference must look like gaussian:DIM:STD") from None
-        return _reference_for(block, n_samples, seed)
-    if text.strip().startswith("{"):
-        return _reference_for(json.loads(text), n_samples, seed)
-    raise ConfigError(f"cannot parse reference {text!r}")
+def _unit_times(times) -> list:
+    """``times``, each checked to lie in [0, 1] (NaN does not)."""
+    bad = [t for t in times if not 0.0 <= t <= 1.0]
+    if bad:
+        raise ConfigError(f"t must lie in [0, 1], got {bad}")
+    return times
 
 
 def _report(out, header, rows, failures=()) -> None:
@@ -270,7 +286,7 @@ def _oracle_jensen(params, seed, out) -> int:
     interp = make_interpolant(params["path"])
     rng = rng_for(seed, "oracle:jensen")
     rows, failures = [], []
-    for t in params["t"]:
+    for t in _unit_times(params["t"]):
         x = typical_shell_point(spec, interp, t)
         res = jensen_gap(spec, interp, x, t, params["n_mc"], rng)
         rows.append((t, res.learned_energy, res.target_energy, res.mc_stderr))
@@ -285,11 +301,12 @@ def _oracle_jensen(params, seed, out) -> int:
 
 def _oracle_cross_term(params, seed, out) -> int:
     dim, n_mc = params["dim"], params["n_mc"]
+    require_n_mc(n_mc)
     spec = GaussianFlowSpec(dim=dim, data_std=params["data_std"])
     interp = LinearPath()
     rng = rng_for(seed, "oracle:cross-term")
     rows, failures = [], []
-    for t in params["t"]:
+    for t in _unit_times(params["t"]):
         x = rng.standard_normal(dim) * float(np.sqrt(marginal_variance(spec, interp, t)))
         closed = cross_term_expectation(spec, interp, x, t)
         if t in (0.0, 1.0):
@@ -308,7 +325,7 @@ def _oracle_cross_term(params, seed, out) -> int:
     return EXIT_OK
 
 
-def _rho_stats(params, seed, out) -> int:
+def _oracle_rho(params, seed, out) -> int:
     stats = rho_statistics(params["dim"], params["pairs"], data_std=params["data_std"],
                            seed=seed)
     _report(out, ("dim", "mean_rho", "p99_rho", "max_rho"),
@@ -336,8 +353,7 @@ def _diagnose_norm(params, seed, out) -> int:
 
 def _diagnose_fld(params, seed, out) -> int:
     traj = load_trajectory(params["traj"])
-    reference, ref_id = _parse_reference(params["reference"], params["reference_samples"],
-                                         seed)
+    reference, ref_id = _reference(params["reference"], params["reference_samples"], seed)
     report = track_fld(traj, reference, reference_id=ref_id, verify=params["verify"])
     # noise floor from a same-size synthetic draw against itself
     rng = rng_for(seed, "fld:floor")
@@ -347,27 +363,33 @@ def _diagnose_fld(params, seed, out) -> int:
     floor = split_half_fld(synth)
     rows = [(t, v, floor) for t, v in zip(report.times, report.values)]
     _report(out, ("t", "value", "split_half_floor"), rows)
-    if out is not None:
-        # the reference travels with the CSV: a shared directory manifest can be overwritten
-        digest = hashlib.sha256(reference.mean.tobytes() + reference.cov.tobytes()).hexdigest()
-        meta = {"reference": params["reference"], "reference_id": f"{ref_id}:{digest[:16]}"}
-        Path(f"{out}.json").write_text(json.dumps(meta, indent=2) + "\n")
     _chart(params["svg"], list(report.times), {"fld": list(report.values)},
            f"distance to target ({ref_id})", "FLD")
     return EXIT_OK
 
 
+def _fld_reference_id(report) -> str | None:
+    """The reference of a 'diagnose fld' report, resolved from its manifest: its kind
+    and a hash of its mean and covariance; None without a readable manifest."""
+    try:
+        manifest = json.loads(Path(f"{report}.json").read_text())
+        if manifest["experiment"] != "diagnose-fld":
+            return None
+        config = manifest["config"]
+        ref, kind = _reference(config["reference"], config["reference_samples"],
+                               manifest["seed"])
+    except (OSError, ValueError, KeyError, TypeError, ConfigError):
+        return None
+    return f"{kind}:{hashlib.sha256(ref.mean.tobytes() + ref.cov.tobytes()).hexdigest()[:16]}"
+
+
 def _diagnose_lag(params, seed, out) -> int:
-    paths, refs = (params["baseline"], params["corrected"]), []
-    for path in paths:
-        try:
-            refs.append(json.loads(Path(f"{path}.json").read_text())["reference_id"])
-        except (OSError, ValueError, KeyError, TypeError):
-            refs.append(None)
+    paths = (params["baseline"], params["corrected"])
+    refs = [_fld_reference_id(path) for path in paths]
     if None in refs or refs[0] != refs[1]:
         raise ConfigError(
             f"{paths[0]} and {paths[1]} must carry the same reference in their "
-            f"'diagnose fld' sidecars ({paths[0]}.json, {paths[1]}.json); "
+            f"'diagnose fld' manifests ({paths[0]}.json, {paths[1]}.json); "
             f"found {refs[0]!r} and {refs[1]!r}")
     reports = []
     for path in paths:
@@ -388,7 +410,7 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     Below the s_start rows come two contrasts: the same injection at the
     end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05)."""
     ck, interp, train_config = _load_net(params["checkpoint"])
-    reference, ref_id = _reference_for(train_config["dataset"], 8192, seed)
+    reference, ref_id = _reference(train_config["dataset"], 8192, seed)
     out_dir = Path(out_dir)
 
     checkpoints = tuple(params["checkpoints"])
@@ -469,37 +491,33 @@ _N_MC = Param("n_mc", int, 100_000)
 _SVG = Param("svg", str, None)
 
 EXPERIMENTS = {exp.name: exp for exp in (
-    Experiment("train", "train", "train a velocity network from a JSON config", _train,
+    Experiment("train", "train a velocity network from a JSON config", _train,
                tuple(p for p in params_of(TrainConfig, TRAIN_CHOICES) if p.name != "seed"),
                out="dir"),
-    Experiment("sample", "sample", "integrate particles from a trained checkpoint", _sample, (
+    Experiment("sample", "integrate particles from a trained checkpoint", _sample, (
         _CHECKPOINT, Param("nfe", int, SolverSpec.nfe),
         Param("schedule", str, "constant-one", help="shape:s_start:s_end, e.g. linear:1.1:1.0"),
         _METHOD, _PARTICLES, _RECORD_TIMES), out="bin"),
-    Experiment("oracle-jensen", "oracle jensen", "learned vs target kinetic energy",
-               _oracle_jensen, (
+    Experiment("oracle-jensen", "learned vs target kinetic energy", _oracle_jensen, (
         _DIM, _DATA_STD, Param("path", str, "linear", choices=PATH_KINDS),
         Param("t", float, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), many=True), _N_MC)),
-    Experiment("oracle-cross-term", "oracle cross-term",
-               "conditional cross-term, closed form vs MC", _oracle_cross_term, (
+    Experiment("oracle-cross-term", "conditional cross-term, closed form vs MC",
+               _oracle_cross_term, (
         _DIM, _DATA_STD, Param("t", float, (0.25, 0.5, 0.75), many=True), _N_MC)),
-    Experiment("rho-stats", "oracle rho", "relative cross-term concentration statistics",
-               _rho_stats, (_DIM, Param("pairs", int, 50_000), _DATA_STD)),
-    Experiment("diagnose-norm", "diagnose norm", "velocity-norm profile of a checkpoint",
-               _diagnose_norm, (
+    Experiment("oracle-rho", "relative cross-term concentration statistics", _oracle_rho, (
+        _DIM, Param("pairs", int, 50_000), _DATA_STD)),
+    Experiment("diagnose-norm", "velocity-norm profile of a checkpoint", _diagnose_norm, (
         _CHECKPOINT, Param("grid", str, "0.05:0.95:19", help="start:stop:count"),
         Param("samples", int, 4096), _SVG)),
-    Experiment("diagnose-fld", "diagnose fld", "distance to target at trajectory checkpoints",
-               _diagnose_fld, (
+    Experiment("diagnose-fld", "distance to target at trajectory checkpoints", _diagnose_fld, (
         Param("traj", str),
         Param("reference", str, help="'gaussian:DIM:STD' or a dataset JSON block"),
         Param("reference_samples", int, 8192),
         Param("verify", bool, False, help="check sqrtm reconstructions at runtime"), _SVG)),
-    Experiment("diagnose-lag", "diagnose lag", "relative improvement between two FLD reports",
-               _diagnose_lag, (Param("baseline", str), Param("corrected", str)),
-               seeded=False),
+    Experiment("diagnose-lag", "relative improvement between two FLD reports", _diagnose_lag,
+               (Param("baseline", str), Param("corrected", str)), seeded=False),
     # calls the module attribute, so a wrapper installed on cli.run_lag_sweep sees each sweep
-    Experiment("lag-sweep", "lag-sweep", "terminal-distance sweep over injection scales",
+    Experiment("lag-sweep", "terminal-distance sweep over injection scales",
                lambda params, seed, out: run_lag_sweep(params, seed, out), (
         _CHECKPOINT, Param("nfe", int, (10,), help="comma-separated step budgets", many=True),
         Param("s_start", float, (1.0, 1.05, 1.1, 1.15, 1.2), many=True), _METHOD, _PARTICLES,
@@ -508,8 +526,7 @@ EXPERIMENTS = {exp.name: exp for exp in (
               help="fail (exit 3) unless baseline terminal distance exceeds the floor "
                    "by this factor"),
         _RECORD_TIMES), out="dir"),
-    Experiment("schedule-calibrate", "schedule-calibrate", "solve s_start for a target area",
-               _schedule_calibrate, (
+    Experiment("schedule-calibrate", "solve s_start for a target area", _schedule_calibrate, (
         Param("shape", str), Param("area", float), Param("s_end", float, 1.0)),
                out=None, seeded=False),
 )}

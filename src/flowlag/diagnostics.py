@@ -169,20 +169,17 @@ class FldReport:
         return float(self.values[-1])
 
 
-def track_fld(traj: Trajectory | tuple, reference: MomentStats,
+def track_fld(traj: Trajectory, reference: MomentStats,
               reference_id: str = "target", eps_scale: float = 1e-6,
               verify: bool = False) -> FldReport:
     """Fréchet distance to the target at every trajectory checkpoint.
 
     Checkpoint covariances get a relative ridge eps * tr(S)/D before the
     matrix square root; batches smaller than D+1 are rank-deficient and
-    raise a warning (the ridge keeps them usable).  ``traj`` may be a
-    Trajectory or a (times, states) pair as returned by the file loader.
+    raise a warning (the ridge keeps them usable).  ``traj`` is any
+    (times, states) pair: a Trajectory as integrated or as loaded from a file.
     """
-    if isinstance(traj, Trajectory):
-        times, states = traj.node_times, traj.states
-    else:
-        times, states = traj
+    times, states = traj
     values = []
     for batch in states:
         stats = MomentStats.from_samples(np.asarray(batch, dtype=np.float64))

@@ -184,6 +184,12 @@ class JensenGapResult:
         return self.gap > 3.0 * self.mc_stderr
 
 
+def require_n_mc(n_mc: int) -> None:
+    """The Monte Carlo floor of the oracle estimates: n_mc >= 1000."""
+    if n_mc < 1000:
+        raise ConfigError(f"n_mc must be >= 1000 to resolve the gap, got {n_mc}")
+
+
 def jensen_gap(spec, interp, x, t, n_mc: int, rng: np.random.Generator) -> JensenGapResult:
     """Compare ||E[v|x_t]||^2 against a Monte Carlo E[||v||^2 | x_t].
 
@@ -191,8 +197,7 @@ def jensen_gap(spec, interp, x, t, n_mc: int, rng: np.random.Generator) -> Jense
     (x0, x1); the result records the MC standard error and flags whether
     the comparison is conclusive rather than silently passing.
     """
-    if n_mc < 1000:
-        raise ConfigError(f"n_mc must be >= 1000 to resolve the gap, got {n_mc}")
+    require_n_mc(n_mc)
     x = _asarray_dim(x, spec.dim)
     t = float(_check_time(t))
     v_star = oracle_velocity(spec, interp, x, t)

@@ -3,7 +3,8 @@
 CSV is the canonical tabular output; floats are written with %.17g so
 identical runs produce identical bytes.  Every artifact-producing run
 drops a manifest recording the exact config, its hash, the seed, and the
-package version, which is what makes two runs comparable.
+package version, which is what makes two runs comparable.  The manifest of
+a file output X is X.json; a directory output's is manifest.json inside it.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_manifest(directory, experiment: str, config: dict, seed: int) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def write_manifest(path, experiment: str, config: dict, seed: int) -> None:
+    """Write the manifest to ``path``, creating its directory if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "experiment": experiment,
         "config": config,
@@ -55,6 +57,4 @@ def write_manifest(directory, experiment: str, config: dict, seed: int) -> Path:
         "seed": int(seed),
         "version": __version__,
     }
-    path = directory / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path

@@ -13,11 +13,10 @@ checkpoint times snap to the nearest grid node (at most dt/2 away).
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,24 +241,11 @@ def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt
     return out
 
 
-@dataclass
-class Trajectory:
-    """Particle batches recorded at checkpoint nodes during one integration."""
+class Trajectory(NamedTuple):
+    """Particle batches recorded during one integration, or read back from a file."""
 
-    checkpoint_times: tuple      # requested times
-    node_times: tuple            # grid times actually recorded (<= dt/2 away)
-    states: list                 # one (n_particles, dim) array per checkpoint
-    dim: int
-    n_particles: int
-    seed: int
-    spec: SolverSpec
-
-    def __post_init__(self):
-        if len(self.states) != len(self.checkpoint_times):
-            raise ValueError("one state batch per checkpoint required")
-        for s in self.states:
-            if s.shape != (self.n_particles, self.dim):
-                raise ValueError("inconsistent batch shapes across checkpoints")
+    node_times: tuple   # grid times recorded (<= dt/2 from the requested ones)
+    states: list        # one (n_particles, dim) array per node
 
 
 def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0,
@@ -307,11 +293,7 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
                         diffusion=spec.diffusion, t_min=spec.t_min, work=work)
         if k + 1 in node_for:
             recorded[k + 1] = x.copy()
-    states = [recorded[j] for j in node_for]
-    node_times = tuple(float(grid[j]) for j in node_for)
-    return Trajectory(checkpoint_times=spec.checkpoints, node_times=node_times,
-                      states=states, dim=dim, n_particles=n_particles, seed=seed,
-                      spec=spec)
+    return Trajectory(tuple(float(grid[j]) for j in node_for), [recorded[j] for j in node_for])
 
 
 # -- trajectory container ---------------------------------------------------
@@ -322,22 +304,20 @@ _TRAJ_VERSION = 1
 
 def save_trajectory(path, traj: Trajectory) -> None:
     """Write the versioned binary container (little-endian, float32 states)."""
-    path = Path(path)
+    n_particles, dim = np.shape(traj.states[0])
+    if (len(traj.states) != len(traj.node_times)
+            or any(np.shape(batch) != (n_particles, dim) for batch in traj.states)):
+        raise ValueError("need one batch per node time, all of one shape")
     with open(path, "wb") as fh:
         fh.write(_TRAJ_MAGIC)
-        fh.write(struct.pack("<IIII", _TRAJ_VERSION, traj.dim, traj.n_particles,
-                             len(traj.node_times)))
+        fh.write(struct.pack("<IIII", _TRAJ_VERSION, dim, n_particles, len(traj.node_times)))
         fh.write(np.asarray(traj.node_times, dtype="<f8").tobytes())
         for batch in traj.states:
             fh.write(np.ascontiguousarray(batch, dtype="<f4").tobytes())
-    meta = {"seed": traj.seed, "method": traj.spec.method, "nfe": traj.spec.nfe,
-            "schedule": traj.spec.schedule.describe(),
-            "checkpoints": list(traj.checkpoint_times)}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def load_trajectory(path) -> tuple:
-    """Read a trajectory container; returns (node_times, list of float32 batches)."""
+def load_trajectory(path) -> Trajectory:
+    """Read a trajectory container; its states are float32 batches."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _TRAJ_MAGIC:
@@ -350,4 +330,4 @@ def load_trajectory(path) -> tuple:
         for _ in range(n_checkpoints):
             raw = fh.read(4 * n_particles * dim)
             states.append(np.frombuffer(raw, dtype="<f4").reshape(n_particles, dim))
-    return tuple(times.tolist()), states
+    return Trajectory(tuple(times.tolist()), states)

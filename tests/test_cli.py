@@ -51,7 +51,8 @@ class TestOracleCommands:
         assert header == ["t", "learned_energy", "target_energy", "mc_stderr"]
         for row in rows:
             assert float(row[1]) < float(row[2])
-        assert (tmp_path / "manifest.json").exists()
+        assert json.loads((tmp_path / "jensen.csv.json").read_text())["experiment"] \
+            == "oracle-jensen"
 
     def test_jensen_stdout_when_no_out(self, capsys):
         code = run_cli("oracle", "jensen", "--dim", "8", "--t", "0.5", "--n-mc", "5000")
@@ -170,9 +171,70 @@ class TestDiagnoseCommands:
         assert len(rows) == 5
         header, _ = read_csv(base_csv)
         assert header == ["t", "value", "split_half_floor"]
-        refs = {json.loads(Path(f"{csv}.json").read_text())["reference_id"]
-                for csv in (base_csv, corr_csv)}
-        assert len(refs) == 1 and refs.pop().startswith("gaussian:analytic:")
+        for csv in (base_csv, corr_csv):
+            manifest = json.loads(Path(f"{csv}.json").read_text())
+            assert manifest["experiment"] == "diagnose-fld"
+            assert manifest["config"]["reference"] == "gaussian:4:1.0"
+
+    def test_lag_accepts_the_same_reference_in_either_form(self, fld_inputs, tmp_path):
+        """'gaussian:4:1.0' and its dataset block resolve to the same reference."""
+        block = '{"kind": "gaussian", "dim": 4, "std": 1.0}'
+        reports = []
+        for name, reference in (("short", "gaussian:4:1.0"), ("block", block)):
+            reports.append(tmp_path / f"{name}.csv")
+            assert run_cli("diagnose", "fld", "--traj", fld_inputs[0], "--reference", reference,
+                           "--out", str(reports[-1])) == EXIT_OK
+        assert run_cli("diagnose", "lag", "--baseline", str(reports[0]),
+                       "--corrected", str(reports[1])) == EXIT_OK
+
+    @pytest.mark.parametrize("manifest", ["not json", "oracle-rho", "bad reference"])
+    def test_lag_refuses_a_report_without_its_fld_manifest(self, fld_inputs, tmp_path, capsys,
+                                                           manifest):
+        """A report whose manifest is unreadable, of another experiment or names a
+        reference that does not resolve is refused, also against itself."""
+        report = tmp_path / "fld.csv"
+        report.write_text(Path(fld_inputs[1][0]).read_text())
+        if manifest == "not json":
+            Path(f"{report}.json").write_text("{not json")
+        else:
+            doc = json.loads(Path(f"{fld_inputs[1][0]}.json").read_text())
+            if manifest == "oracle-rho":
+                doc["experiment"] = "oracle-rho"
+            else:
+                doc["config"]["reference"] = "gaussian:4"
+            Path(f"{report}.json").write_text(json.dumps(doc))
+        for other in (str(report), fld_inputs[1][1]):
+            capsys.readouterr()
+            assert run_cli("diagnose", "lag", "--baseline", str(report),
+                           "--corrected", other) == EXIT_CONFIG
+            assert f"{report}.json" in capsys.readouterr().err
+
+    def test_shared_directory_keeps_each_outputs_manifest(self, tiny_run, tmp_path):
+        """Two samples and two FLD reports in one directory: each output's manifest
+        records its own run."""
+        ck = str(tiny_run.checkpoint_path)
+        samples = {"base": (64, "constant-one"), "ssc": (96, "linear:1.1:1.0")}
+        references = {"base": "gaussian:4:1.0", "ssc": "gaussian:4:2.0"}
+        for name, (particles, schedule) in samples.items():
+            assert run_cli("sample", "--checkpoint", ck, "--nfe", "6", "--schedule", schedule,
+                           "--particles", str(particles),
+                           "--out", str(tmp_path / f"{name}.bin")) == EXIT_OK
+        for name, reference in references.items():
+            assert run_cli("diagnose", "fld", "--traj", str(tmp_path / f"{name}.bin"),
+                           "--reference", reference,
+                           "--out", str(tmp_path / f"{name}_fld.csv")) == EXIT_OK
+        assert not (tmp_path / "manifest.json").exists()
+        for name, (particles, schedule) in samples.items():
+            manifest = json.loads((tmp_path / f"{name}.bin.json").read_text())
+            assert manifest["experiment"] == "sample"
+            config = manifest["config"]
+            assert (config["checkpoint"], config["particles"], config["schedule"]) \
+                == (ck, particles, schedule)
+        for name, reference in references.items():
+            manifest = json.loads((tmp_path / f"{name}_fld.csv.json").read_text())
+            assert manifest["experiment"] == "diagnose-fld"
+            assert (manifest["config"]["traj"], manifest["config"]["reference"]) \
+                == (str(tmp_path / f"{name}.bin"), reference)
 
     def test_lag_refuses_reports_against_different_references(self, tiny_run, tmp_path, capsys):
         traj = tmp_path / "traj.bin"
@@ -188,7 +250,7 @@ class TestDiagnoseCommands:
         assert run_cli(*lag) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{one}.json" in err and f"{two}.json" in err
-        # a report without its sidecar is refused too, also against itself
+        # a report without its manifest is refused too, also against itself
         Path(f"{two}.json").unlink()
         assert run_cli("diagnose", "lag", "--baseline", str(two), "--corrected", str(two)) \
             == EXIT_CONFIG
@@ -235,10 +297,10 @@ class TestRunExperiment:
         cfg = tmp_path / "exp.json"
         out_dir = tmp_path / "rho_out"
         cfg.write_text(json.dumps({
-            "experiment": "rho-stats", "out_dir": str(out_dir), "seed": 1,
+            "experiment": "oracle-rho", "out_dir": str(out_dir), "seed": 1,
             "spec": {"dim": 64, "pairs": 10000}}))
         assert run_cli("run", "--config", str(cfg)) == EXIT_OK
-        assert (out_dir / "rho-stats.csv").exists()
+        assert (out_dir / "oracle-rho.csv").exists()
 
     def test_unknown_experiment_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -248,13 +310,13 @@ class TestRunExperiment:
     def test_missing_field_exits_2_without_artifacts(self, tmp_path):
         cfg = tmp_path / "exp.json"
         out_dir = tmp_path / "never"
-        cfg.write_text(json.dumps({"experiment": "rho-stats", "spec": {"dim": 8}}))
+        cfg.write_text(json.dumps({"experiment": "oracle-rho", "spec": {"dim": 8}}))
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert not out_dir.exists()
 
     def test_unknown_top_level_field_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"experiment": "rho-stats", "out_dir": "x",
+        cfg.write_text(json.dumps({"experiment": "oracle-rho", "out_dir": "x",
                                    "spec": {}, "threads": 4}))
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
 
@@ -263,12 +325,12 @@ class TestRunExperiment:
         cfg.write_text("{not json")
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("experiment", ["train", "lag-sweep", "rho-stats"])
+    @pytest.mark.parametrize("experiment", ["train", "lag-sweep", "oracle-rho"])
     def test_seed_inside_spec_exits_2(self, tiny_run, tmp_path, experiment):
         """The envelope holds the only seed; a spec that carries one is refused."""
         spec = {"train": {"dataset": {"kind": "gaussian", "dim": 4}, "steps": 5},
                 "lag-sweep": {"checkpoint": str(tiny_run.checkpoint_path)},
-                "rho-stats": {"dim": 8}}[experiment]
+                "oracle-rho": {"dim": 8}}[experiment]
         cfg = tmp_path / "exp.json"
         out_dir = tmp_path / "never"
         cfg.write_text(json.dumps({"experiment": experiment, "out_dir": str(out_dir),
@@ -291,7 +353,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field", ["verify", "name"])
     def test_dropped_envelope_fields_exit_2(self, tmp_path, field):
         cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"experiment": "rho-stats", "out_dir": str(tmp_path / "o"),
+        cfg.write_text(json.dumps({"experiment": "oracle-rho", "out_dir": str(tmp_path / "o"),
                                    "spec": {"dim": 8}, field: True}))
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
@@ -343,7 +405,7 @@ class TestRunExperiment:
                                        "spec": {"checkpoint": str(tmp_path / "missing.npz")}}))
             argv = ["run", "--config", str(cfg)]
         assert run_cli(*argv) == EXIT_CONFIG
-        manifest = json.loads((out_dir / "manifest.json").read_text())
+        manifest = json.loads((out_dir / "sample.bin.json").read_text())
         assert manifest["experiment"] == "sample"
         assert manifest["config"]["nfe"] == 50
         assert not (out_dir / "sample.bin").exists()
@@ -384,6 +446,11 @@ class TestRunExperiment:
     ["diagnose", "fld", "--traj", "TRAJ", "--reference", "gaussian:x:1"],
     ["diagnose", "fld", "--traj", "TRAJ", "--reference", '{"kind": "gaussian", "dim": 4.5}'],
     ["lag-sweep", "--checkpoint", "CK", "--nfe", ",", "--particles", "64"],
+    ["oracle", "jensen", "--dim", "4", "--t", "1.5"],
+    ["oracle", "jensen", "--dim", "4", "--t", "nan"],
+    ["oracle", "cross-term", "--dim", "4", "--n-mc", "1"],
+    ["oracle", "cross-term", "--dim", "4", "--t", "1.5"],
+    ["oracle", "cross-term", "--dim", "4", "--t", "nan"],
 ])
 def test_argument_problems_exit_2(argv, tiny_run, fld_inputs, tmp_path):
     """An argument the experiment refuses exits 2, whether argparse or the
@@ -412,7 +479,7 @@ def test_empty_list_in_spec_exits_2(spec, tiny_run, tmp_path):
 
 @pytest.fixture(scope="module")
 def fld_inputs(tiny_run, tmp_path_factory):
-    """A trajectory and two 'diagnose fld' reports of the tiny run, with their sidecars."""
+    """A trajectory and two 'diagnose fld' reports of the tiny run, with their manifests."""
     root = tmp_path_factory.mktemp("fld_inputs")
     ck = str(tiny_run.checkpoint_path)
     reports = []
@@ -463,7 +530,7 @@ class TestFlagsMatchRun:
                        "method": "heun", "particles": 32, "checkpoints": [0.5, 1]},
             "oracle-jensen": {"dim": 4, "t": [0.5], "n_mc": 20000},
             "oracle-cross-term": {"dim": 4, "t": [0.0, 0.5], "n_mc": 2000},
-            "rho-stats": {"dim": 16, "pairs": 10000, "data_std": 2},
+            "oracle-rho": {"dim": 16, "pairs": 10000, "data_std": 2},
             "diagnose-norm": {"checkpoint": ck, "grid": "0.2:0.8:3", "samples": 1000},
             "diagnose-fld": {"traj": traj, "reference": "gaussian:4:1.0", "verify": True},
             "diagnose-lag": {"baseline": reports[0], "corrected": reports[1]},
@@ -488,7 +555,7 @@ class TestFlagsMatchRun:
             argv += ["--out", str(flag_dir)]
         elif exp.out is not None:
             argv += ["--out", str(flag_dir / f"{name}.{exp.out}")]
-        flag_code = main([*exp.command.split(), *argv])
+        flag_code = main([*cli._words(name), *argv])
         flag_stdout = capsys.readouterr().out.replace(str(flag_dir), "OUT")
 
         cfg = tmp_path / "exp.json"
@@ -503,11 +570,13 @@ class TestFlagsMatchRun:
             return
         artifacts = _artifacts(flag_dir)
         assert _artifacts(run_dir) == artifacts
-        manifest = json.loads(artifacts["manifest.json"])
+        if exp.out == "dir":
+            manifest = json.loads(artifacts["manifest.json"])
+        else:
+            assert f"{name}.{exp.out}" in artifacts
+            manifest = json.loads(artifacts[f"{name}.{exp.out}.json"])
         assert manifest["experiment"] == name
         assert manifest["seed"] == seed
-        if exp.out in ("bin", "csv"):
-            assert f"{name}.{exp.out}" in artifacts
 
 
 class TestConsoleScript:

@@ -17,6 +17,7 @@ from flowlag.solver import (
     IDENTITY_SCHEDULE,
     ScaleSchedule,
     SolverSpec,
+    Trajectory,
     calibrate_s_start,
     em_step,
     euler_step,
@@ -585,9 +586,13 @@ class TestTrajectoryContainer:
         with pytest.raises(ValueError):
             load_trajectory(path)
 
-    def test_sidecar_metadata(self, tmp_path):
-        traj = self._example()
-        path = tmp_path / "traj.bin"
-        save_trajectory(path, traj)
-        meta = (tmp_path / "traj.bin.json").read_text()
-        assert '"nfe": 10' in meta
+    def test_writes_only_the_binary(self, tmp_path):
+        """Provenance is the manifest's (see test_cli); the container is one file."""
+        save_trajectory(tmp_path / "traj.bin", self._example())
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.bin"]
+
+    def test_inconsistent_batches_rejected(self, tmp_path):
+        times, states = self._example()
+        for bad in (Trajectory(times, [states[0], states[1][1:]]), Trajectory(times, states[:1])):
+            with pytest.raises(ValueError, match="one batch per node time"):
+                save_trajectory(tmp_path / "traj.bin", bad)

@@ -277,7 +277,7 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_snapshot(self, tmp_path):
         cfg = self._config(steps=50, learning_rate=1e30, precision="float32")
-        with pytest.raises(TrainingDivergedError) as exc:
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError) as exc:
             train(cfg, out_dir=tmp_path)
         assert exc.value.step <= 50
         assert (tmp_path / "divergence.json").exists()
@@ -285,7 +285,7 @@ class TestTrainLoop:
     def test_fm_divergence_has_no_magnitude_term(self, tmp_path):
         """An fm run carries no speed penalty, so an overflowing output cannot make it NaN."""
         cfg = self._config(steps=50, learning_rate=1e30, precision="float32")
-        with pytest.raises(TrainingDivergedError):
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError):
             train(cfg, out_dir=tmp_path)
         snapshot = json.loads((tmp_path / "divergence.json").read_text())
         assert snapshot["magnitude_term"] == 0.0
