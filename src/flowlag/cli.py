@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .datasets import make_dataset
-from .diagnostics import (FldReport, lag_improvement, norm_profile, reference_from_dataset,
-                          split_half_fld, track_fld)
+from .diagnostics import (MIN_REFERENCE_SAMPLES, FldReport, lag_improvement, norm_profile,
+                          reference_from_dataset, split_half_fld, track_fld)
 from .errors import CheckFailedError, ConfigError
 from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample, cross_term_expectation,
                               jensen_gap, marginal_variance, require_n_mc, rho_statistics,
@@ -232,6 +232,13 @@ def _reference(spec, n_samples: int, seed: int):
     return ref, f"{dataset.kind}:{kind}"
 
 
+def _at_least(params: dict, name: str, floor: int) -> int:
+    """``params[name]``, checked to be at least ``floor``."""
+    if params[name] < floor:
+        raise ConfigError(f"{name} must be >= {floor}, got {params[name]}")
+    return params[name]
+
+
 def _unit_times(times) -> list:
     """``times``, each checked to lie in [0, 1] (NaN does not)."""
     bad = [t for t in times if not 0.0 <= t <= 1.0]
@@ -270,14 +277,15 @@ def _train(params, seed, out) -> int:
 
 
 def _sample(params, seed, out) -> int:
+    n = _at_least(params, "particles", 2)  # the FLD of fewer particles is undefined
     ck, interp, _ = _load_net(params["checkpoint"])
     spec = SolverSpec(method=params["method"], nfe=params["nfe"],
                       schedule=parse_schedule(params["schedule"]),
                       checkpoints=tuple(params["checkpoints"]))
-    traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=params["particles"],
-                     seed=seed, interp=interp)
+    traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=n, seed=seed,
+                     interp=interp)
     save_trajectory(out, traj)
-    print(f"wrote {out} ({params['particles']} particles, {len(spec.checkpoints)} checkpoints)")
+    print(f"wrote {out} ({n} particles, {len(spec.checkpoints)} checkpoints)")
     return EXIT_OK
 
 
@@ -352,6 +360,7 @@ def _diagnose_norm(params, seed, out) -> int:
 
 
 def _diagnose_fld(params, seed, out) -> int:
+    _at_least(params, "reference_samples", MIN_REFERENCE_SAMPLES)
     traj = load_trajectory(params["traj"])
     reference, ref_id = _reference(params["reference"], params["reference_samples"], seed)
     report = track_fld(traj, reference, reference_id=ref_id, verify=params["verify"])
@@ -397,6 +406,9 @@ def _diagnose_lag(params, seed, out) -> int:
         reports.append(FldReport(times=tuple(float(r[0]) for r in rows),
                                  values=np.array([float(r[1]) for r in rows]),
                                  reference_id=refs[0], n_samples=0))
+    if reports[0].times != reports[1].times:
+        raise ConfigError(f"{paths[0]} and {paths[1]} must use the same checkpoint times; "
+                          f"found {reports[0].times} and {reports[1].times}")
     deltas = lag_improvement(*reports)
     _report(out, ("t", "value"), list(zip(reports[0].times, deltas)))
     return EXIT_OK
@@ -409,8 +421,9 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
 
     Below the s_start rows come two contrasts: the same injection at the
     end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05)."""
+    n = _at_least(params, "particles", 2)
     ck, interp, train_config = _load_net(params["checkpoint"])
-    reference, ref_id = _reference(train_config["dataset"], 8192, seed)
+    reference, ref_id = _reference(train_config["dataset"], MIN_REFERENCE_SAMPLES, seed)
     out_dir = Path(out_dir)
 
     checkpoints = tuple(params["checkpoints"])
@@ -423,8 +436,8 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     def run_cell(nfe, schedule):
         spec = SolverSpec(method=params["method"], nfe=nfe, schedule=schedule,
                           checkpoints=checkpoints)
-        traj = integrate(ck.net.forward, spec, dim=ck.net.dim,
-                         n_particles=params["particles"], seed=seed, interp=interp)
+        traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=n, seed=seed,
+                         interp=interp)
         return track_fld(traj, reference, reference_id=ref_id)
 
     floor_report = run_cell(params["floor_nfe"], ScaleSchedule("linear", 1.0, 1.0))
@@ -448,7 +461,8 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     ratio = baseline / max(floor_report.terminal, 1e-300)
     summary_lines.append(f"baseline (nfe={primary_nfe}): terminal FLD "
                          f"{baseline:.6g} ({ratio:.2f}x the floor)")
-    improving = [label for label in dict(injected) if primary[label] < baseline]
+    improving = [label for label, schedule in injected
+                 if schedule.s_start > 1.0 and primary[label] < baseline]
     best_label = min(primary, key=primary.get)
     summary_lines.append(f"best cell at nfe={primary_nfe}: {best_label} "
                          f"(terminal FLD {primary[best_label]:.6g})")
@@ -512,7 +526,7 @@ EXPERIMENTS = {exp.name: exp for exp in (
     Experiment("diagnose-fld", "distance to target at trajectory checkpoints", _diagnose_fld, (
         Param("traj", str),
         Param("reference", str, help="'gaussian:DIM:STD' or a dataset JSON block"),
-        Param("reference_samples", int, 8192),
+        Param("reference_samples", int, MIN_REFERENCE_SAMPLES),
         Param("verify", bool, False, help="check sqrtm reconstructions at runtime"), _SVG)),
     Experiment("diagnose-lag", "relative improvement between two FLD reports", _diagnose_lag,
                (Param("baseline", str), Param("corrected", str)), seeded=False),

@@ -54,18 +54,22 @@ def gaussian_reference(dim: int, std: float = 1.0) -> MomentStats:
     return MomentStats(mean=np.zeros(dim), cov=std**2 * np.eye(dim), n_samples=0)
 
 
-def reference_from_dataset(dataset, n_empirical: int = 8192, seed: int = 0) -> MomentStats:
+MIN_REFERENCE_SAMPLES = 8192  # the fewest draws an empirical reference is fit on
+
+
+def reference_from_dataset(dataset, n_empirical: int = MIN_REFERENCE_SAMPLES,
+                           seed: int = 0) -> MomentStats:
     """Analytic moments when the dataset has them, else an empirical fit.
 
-    Empirical references accumulate at least 8192 samples so the
-    covariance estimate is stable at the dimensions used here.
+    Empirical references accumulate at least MIN_REFERENCE_SAMPLES samples
+    so the covariance estimate is stable at the dimensions used here.
     """
     moments = dataset.moments()
     if moments is not None:
         mean, cov = moments
         return MomentStats(mean=np.asarray(mean, dtype=np.float64),
                            cov=np.asarray(cov, dtype=np.float64), n_samples=0)
-    n = max(int(n_empirical), 8192)
+    n = max(int(n_empirical), MIN_REFERENCE_SAMPLES)
     return MomentStats.from_samples(dataset.sample(n, rng_for(seed, "fld:reference")))
 
 

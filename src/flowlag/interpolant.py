@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-PATH_KINDS = ("linear", "vp", "gvp")
-
 # variance-preserving exponential profile, beta_max - beta_min and beta_min
 VP_A = 19.9
 VP_B = 0.1
+_VP_E0 = float(np.exp(-0.25 * VP_A - 0.5 * VP_B))  # the raw profile at t=0
 
 
 def _check_time(t):
@@ -47,59 +46,45 @@ def _bcast(coeff, x):
 
 
 class Interpolant:
-    """Base class; subclasses define the four coefficient functions.
+    """Base class; a path is its one coefficient function.
 
-    Subclasses override the unchecked private forms ``_alpha``, ``_sigma``,
-    ``_d_alpha`` and ``_d_sigma`` of a float64 t in [0, 1], not the public
-    methods: those check t once and then call the private forms, and so do
-    ``coefficients``, ``sample_xt`` and ``target_velocity``.
+    Subclasses define ``_coefficients(t)``: the unchecked (alpha, sigma,
+    d_alpha, d_sigma) of a float64 t in [0, 1].  The public methods check
+    t once and then call it.
     """
 
     kind: str
 
-    def _alpha(self, t):
+    def _coefficients(self, t):
         raise NotImplementedError
-
-    def _sigma(self, t):
-        raise NotImplementedError
-
-    def _d_alpha(self, t):
-        raise NotImplementedError
-
-    def _d_sigma(self, t):
-        raise NotImplementedError
-
-    def alpha(self, t):
-        return self._alpha(_check_time(t))
-
-    def sigma(self, t):
-        return self._sigma(_check_time(t))
-
-    def d_alpha(self, t):
-        return self._d_alpha(_check_time(t))
-
-    def d_sigma(self, t):
-        return self._d_sigma(_check_time(t))
 
     def coefficients(self, t):
         """(alpha, sigma, d_alpha, d_sigma) at time t."""
-        t = _check_time(t)
-        return self._alpha(t), self._sigma(t), self._d_alpha(t), self._d_sigma(t)
+        return self._coefficients(_check_time(t))
+
+    def alpha(self, t):
+        return self.coefficients(t)[0]
+
+    def sigma(self, t):
+        return self.coefficients(t)[1]
+
+    def d_alpha(self, t):
+        return self.coefficients(t)[2]
+
+    def d_sigma(self, t):
+        return self.coefficients(t)[3]
 
     def sample_xt(self, x0, x1, t):
         """State on the path: alpha(t) * x1 + sigma(t) * x0."""
         x0, x1 = _check_pair(x0, x1)
-        t = _check_time(t)
-        return _bcast(self._alpha(t), x1) * x1 + _bcast(self._sigma(t), x0) * x0
+        a, s, _, _ = self._coefficients(_check_time(t))
+        return _bcast(a, x1) * x1 + _bcast(s, x0) * x0
 
     def target_velocity(self, x0, x1, t):
         """Conditional target velocity: d_alpha(t) * x1 + d_sigma(t) * x0."""
         x0, x1 = _check_pair(x0, x1)
-        t = _check_time(t)
-        return _bcast(self._d_alpha(t), x1) * x1 + _bcast(self._d_sigma(t), x0) * x0
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
+        _, _, da, ds = self._coefficients(_check_time(t))
+        return _bcast(da, x1) * x1 + _bcast(ds, x0) * x0
 
 
 class LinearPath(Interpolant):
@@ -107,104 +92,58 @@ class LinearPath(Interpolant):
 
     kind = "linear"
 
-    def _alpha(self, t):
-        return t
-
-    def _sigma(self, t):
-        return 1.0 - t
-
-    def _d_alpha(self, t):
-        return np.ones_like(t)
-
-    def _d_sigma(self, t):
-        return -np.ones_like(t)
-
-
-def _sin_half(t):
-    """sin(pi t / 2) with exact values at both endpoints.
-
-    cos(pi/2) rounds to 6.1e-17 rather than 0.0 in double precision; the
-    mirrored form sin(pi (1-t) / 2) on t > 1/2 avoids that (1 - t is
-    exact there), so boundary identities hold bitwise.
-    """
-    return np.where(t <= 0.5, np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * (1.0 - t)))
-
-
-def _cos_half(t):
-    """cos(pi t / 2) with exact values at both endpoints."""
-    return np.where(t <= 0.5, np.cos(0.5 * np.pi * t), np.sin(0.5 * np.pi * (1.0 - t)))
+    def _coefficients(self, t):
+        return t, 1.0 - t, np.ones_like(t), -np.ones_like(t)
 
 
 class GvpPath(Interpolant):
-    """Trigonometric variance-preserving path: alpha = sin(pi t / 2)."""
+    """Trigonometric variance-preserving path: alpha = sin(pi t / 2).
+
+    cos(pi/2) rounds to 6.1e-17 rather than 0.0 in double precision, so on
+    t > 1/2 sin and cos are taken in the mirrored forms cos(pi (1-t) / 2)
+    and sin(pi (1-t) / 2) (1 - t is exact there): the boundary identities
+    then hold bitwise.
+    """
 
     kind = "gvp"
 
-    def _alpha(self, t):
-        return _sin_half(t)
-
-    def _sigma(self, t):
-        return _cos_half(t)
-
-    def _d_alpha(self, t):
-        return 0.5 * np.pi * _cos_half(t)
-
-    def _d_sigma(self, t):
-        return -0.5 * np.pi * _sin_half(t)
+    def _coefficients(self, t):
+        sin = np.where(t <= 0.5, np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * (1.0 - t)))
+        cos = np.where(t <= 0.5, np.cos(0.5 * np.pi * t), np.sin(0.5 * np.pi * (1.0 - t)))
+        return sin, cos, 0.5 * np.pi * cos, -0.5 * np.pi * sin
 
 
 class VpPath(Interpolant):
     """Exponential variance-preserving path with exact endpoints.
 
-    The raw profile e(t) = exp(-a (1-t)^2 / 4 - b (1-t) / 2) reaches
-    e(0) ~ 6.6e-3 rather than zero, so alpha is shifted and rescaled to
-    (e(t) - e(0)) / (1 - e(0)); sigma = sqrt(1 - alpha^2) then hits both
-    endpoints exactly.  d_sigma has an integrable singularity at t=1
-    (sigma ~ sqrt(1-t) there); at exactly t=1 we return 0.0, which is the
-    only value consistent with the products sigma * d_sigma -> finite
-    that downstream formulas use.  Finite-difference consistency is only
-    claimed on the open interior.
+    The raw profile e(t) = exp(-a (1-t)^2 / 4 - b (1-t) / 2), with a = VP_A
+    and b = VP_B, reaches e(0) ~ 6.6e-3 rather than zero, so alpha is
+    shifted and rescaled to (e(t) - e(0)) / (1 - e(0)); sigma =
+    sqrt(1 - alpha^2) then hits both endpoints exactly.  d_sigma has an
+    integrable singularity at t=1 (sigma ~ sqrt(1-t) there); at exactly
+    t=1 we return 0.0, which is the only value consistent with the
+    products sigma * d_sigma -> finite that downstream formulas use.
+    Finite-difference consistency is only claimed on the open interior.
     """
 
     kind = "vp"
 
-    def __init__(self, a: float = VP_A, b: float = VP_B):
-        self.a = float(a)
-        self.b = float(b)
-        self._e0 = float(np.exp(-0.25 * self.a - 0.5 * self.b))
-
-    def _raw(self, t):
+    def _coefficients(self, t):
         u = 1.0 - t
-        return np.exp(-0.25 * self.a * u * u - 0.5 * self.b * u)
-
-    def _alpha(self, t):
-        return (self._raw(t) - self._e0) / (1.0 - self._e0)
-
-    def _sigma(self, t):
-        a = self._alpha(t)
-        return np.sqrt(np.maximum(1.0 - a * a, 0.0))
-
-    def _d_alpha(self, t):
-        u = 1.0 - t
-        return self._raw(t) * (0.5 * self.a * u + 0.5 * self.b) / (1.0 - self._e0)
-
-    def _d_sigma(self, t):
-        a = self._alpha(t)
-        da = self._d_alpha(t)
+        raw = np.exp(-0.25 * VP_A * u * u - 0.5 * VP_B * u)
+        a = (raw - _VP_E0) / (1.0 - _VP_E0)
         s = np.sqrt(np.maximum(1.0 - a * a, 0.0))
-        return np.where(s > 0.0, -a * da / np.where(s > 0.0, s, 1.0), 0.0)
+        da = raw * (0.5 * VP_A * u + 0.5 * VP_B) / (1.0 - _VP_E0)
+        ds = np.where(s > 0.0, -a * da / np.where(s > 0.0, s, 1.0), 0.0)
+        return a, s, da, ds
 
-    def __repr__(self):
-        return f"VpPath(a={self.a}, b={self.b})"
+
+_PATHS = {cls.kind: cls for cls in (LinearPath, VpPath, GvpPath)}
+PATH_KINDS = tuple(_PATHS)
 
 
 def make_interpolant(kind: str) -> Interpolant:
-    """Look up a path by its config name ("linear" | "vp" | "gvp")."""
-    kind = kind.lower()
-    if kind == "linear":
-        return LinearPath()
-    if kind == "vp":
-        return VpPath()
-    if kind == "gvp":
-        return GvpPath()
-    raise ValueError(f"unknown path kind {kind!r}; expected one of {PATH_KINDS}")
+    """Look up a path by its config name, one of PATH_KINDS."""
+    if kind not in _PATHS:
+        raise ValueError(f"unknown path kind {kind!r}; expected one of {PATH_KINDS}")
+    return _PATHS[kind]()

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NonFiniteVelocityError
-from .interpolant import Interpolant
+from .interpolant import Interpolant, _check_time
 from .rng import rng_for
 
 SCHEDULE_SHAPES = ("linear", "cosine", "quad-in", "quad-out", "constant-one")
@@ -61,9 +61,7 @@ class ScaleSchedule:
     def gamma(self, t):
         """Multiplier at time t; exact at the endpoints and exactly 1
         everywhere when the endpoints are both 1."""
-        t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > 1.0) or not np.all(np.isfinite(t)):
-            raise ValueError("schedule time must lie in [0, 1]")
+        t = _check_time(t)
         if self.shape == "constant-one" or self.s_start == self.s_end:
             return np.full_like(t, self.s_start) if t.ndim else np.float64(self.s_start)
         val = self.s_end + (self.s_start - self.s_end) * _bump(self.shape, t)

@@ -20,7 +20,7 @@ import numpy as np
 from .datasets import make_dataset
 from .diagnostics import norm_profile
 from .errors import ConfigError, TrainingDivergedError
-from .interpolant import make_interpolant, PATH_KINDS
+from .interpolant import PATH_KINDS, _check_time, make_interpolant
 from .nn import Adam, Mlp, save_checkpoint
 from .reporting import write_csv
 from .rng import rng_for
@@ -58,10 +58,7 @@ def mafm_weight(t, shape: str = "linear", lam0: float = 0.2):
         raise ValueError(f"lam0 must be nonnegative, got {lam0}")
     if shape not in _BUMP_AREA:
         raise ValueError(f"unknown weight shape {shape!r}; expected one of {MAFM_SHAPES}")
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all((t >= 0) & (t <= 1)):  # NaN fails both
-        raise ValueError("time must lie in [0, 1]")
-    return lam0 * (0.5 / _BUMP_AREA[shape]) * _bump(shape, t)
+    return lam0 * (0.5 / _BUMP_AREA[shape]) * _bump(shape, _check_time(t))
 
 
 def _check_batch(x0, x1, t):

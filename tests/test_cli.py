@@ -256,6 +256,22 @@ class TestDiagnoseCommands:
             == EXIT_CONFIG
         assert run_cli(*lag) == EXIT_CONFIG
 
+    def test_lag_refuses_reports_on_different_checkpoint_times(self, tiny_run, fld_inputs,
+                                                              tmp_path, capsys):
+        traj, csv = tmp_path / "half.bin", tmp_path / "half.csv"
+        assert run_cli("sample", "--checkpoint", str(tiny_run.checkpoint_path), "--nfe", "6",
+                       "--particles", "64", "--checkpoints", "0.5,1.0",
+                       "--out", str(traj)) == EXIT_OK
+        assert run_cli("diagnose", "fld", "--traj", str(traj), "--reference", "gaussian:4:1.0",
+                       "--out", str(csv)) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "lag.csv"
+        assert run_cli("diagnose", "lag", "--baseline", fld_inputs[1][0], "--corrected", str(csv),
+                       "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert fld_inputs[1][0] in err and str(csv) in err
+        assert not out.exists()
+
 
 class TestLagSweep:
     def test_sweep_report_complete(self, tiny_run, tmp_path):
@@ -282,6 +298,19 @@ class TestLagSweep:
                        "--s-start", "1.0,1.1", "--require-lag-ratio", "1e9",
                        "--out", str(tmp_path / "s"))
         assert code == EXIT_CHECK
+
+    def test_only_s_start_above_one_counts_as_improving(self, tiny_run, tmp_path):
+        """s_start = 0.8 beats the baseline here and 1.2 does not: no injection
+        improved, so the sweep exits with the overshoot caveat."""
+        out = tmp_path / "sweep"
+        code = run_cli("lag-sweep", "--checkpoint", str(tiny_run.checkpoint_path),
+                       "--nfe", "4", "--particles", "512", "--floor-nfe", "50",
+                       "--s-start", "0.8,1.2", "--out", str(out))
+        assert code == EXIT_OVERSHOOT
+        _, rows = read_csv(out / "lag_sweep.csv")
+        terminal = {r[1]: float(r[-1]) for r in rows if r[0] == "4"}
+        assert terminal["linear:0.8:1.0"] < terminal["baseline"] < terminal["linear:1.2:1.0"]
+        assert "CAVEAT" in (out / "summary.txt").read_text()
 
 
 class TestRunExperiment:
@@ -451,6 +480,12 @@ class TestRunExperiment:
     ["oracle", "cross-term", "--dim", "4", "--n-mc", "1"],
     ["oracle", "cross-term", "--dim", "4", "--t", "1.5"],
     ["oracle", "cross-term", "--dim", "4", "--t", "nan"],
+    ["diagnose", "fld", "--traj", "TRAJ", "--reference", '{"kind": "gaussian-mixture", "dim": 4}',
+     "--reference-samples", "10"],
+    ["sample", "--checkpoint", "CK", "--particles", "0"],
+    ["sample", "--checkpoint", "CK", "--particles", "1"],
+    ["sample", "--checkpoint", "CK", "--particles", "-3"],
+    ["lag-sweep", "--checkpoint", "CK", "--particles", "1"],
 ])
 def test_argument_problems_exit_2(argv, tiny_run, fld_inputs, tmp_path):
     """An argument the experiment refuses exits 2, whether argparse or the

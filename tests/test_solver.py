@@ -440,8 +440,9 @@ class TestInPlaceIntegration:
     def test_steps_without_diffusion_draw_no_noise(self):
         """Steps with sigma_t = 0 draw nothing, wherever they fall on the grid."""
         class GappedPath(LinearPath):
-            def _sigma(self, t):
-                return 0.0 if 0.25 <= float(t) < 0.5 else super()._sigma(t)
+            def _coefficients(self, t):
+                a, s, da, ds = super()._coefficients(t)
+                return a, (0.0 if 0.25 <= float(t) < 0.5 else s), da, ds
 
         field = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
         for method, diffusion in METHODS[2:]:
