@@ -363,10 +363,13 @@ def _diagnose_fld(params, seed, out) -> int:
     _at_least(params, "reference_samples", MIN_REFERENCE_SAMPLES)
     traj = load_trajectory(params["traj"])
     reference, ref_id = _reference(params["reference"], params["reference_samples"], seed)
+    n, dim = traj.states[0].shape
+    if dim != reference.dim:
+        raise ConfigError(f"trajectory {params['traj']} has dimension {dim}, "
+                          f"but the reference {ref_id} has dimension {reference.dim}")
     report = track_fld(traj, reference, reference_id=ref_id, verify=params["verify"])
     # noise floor from a same-size synthetic draw against itself
     rng = rng_for(seed, "fld:floor")
-    n = report.n_samples
     chol = np.linalg.cholesky(reference.cov + 1e-12 * np.eye(reference.dim))
     synth = reference.mean + rng.standard_normal((2 * n, reference.dim)) @ chol.T
     floor = split_half_fld(synth)
@@ -405,7 +408,7 @@ def _diagnose_lag(params, seed, out) -> int:
         _, rows = read_csv(path)
         reports.append(FldReport(times=tuple(float(r[0]) for r in rows),
                                  values=np.array([float(r[1]) for r in rows]),
-                                 reference_id=refs[0], n_samples=0))
+                                 reference_id=refs[0]))
     if reports[0].times != reports[1].times:
         raise ConfigError(f"{paths[0]} and {paths[1]} must use the same checkpoint times; "
                           f"found {reports[0].times} and {reports[1].times}")
@@ -417,60 +420,57 @@ def _diagnose_lag(params, seed, out) -> int:
 def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     """Cross product of step budgets and injection scales, with a
     high-step floor run; returns the overshoot exit code when no
-    s_start > 1 strictly improves the terminal distance.
+    s_start > 1 strictly improves the terminal distance at t = 1.
 
     Below the s_start rows come two contrasts: the same injection at the
-    end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05)."""
+    end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05).
+    Every cell is checked before the first one is integrated."""
     n = _at_least(params, "particles", 2)
-    ck, interp, train_config = _load_net(params["checkpoint"])
-    reference, ref_id = _reference(train_config["dataset"], MIN_REFERENCE_SAMPLES, seed)
-    out_dir = Path(out_dir)
-
     checkpoints = tuple(params["checkpoints"])
+    if checkpoints[-1] != 1.0:
+        raise ConfigError(f"lag-sweep checkpoints must end at 1.0, where the terminal "
+                          f"distance is taken; got {checkpoints}")
     injected = [(f"linear:{s:g}:1.0", ScaleSchedule("linear", s, 1.0))
                 for s in params["s_start"] if s != 1.0]
     schedules = [("baseline", ScaleSchedule("linear", 1.0, 1.0)), *injected,
                  ("linear:1.0:1.1", ScaleSchedule("linear", 1.0, 1.1)),
                  ("linear:1.05:1.05", ScaleSchedule("linear", 1.05, 1.05))]
+    table = [(params["floor_nfe"], "floor", ScaleSchedule("linear", 1.0, 1.0))]
+    table += [(nfe, label, schedule) for nfe in params["nfe"] for label, schedule in schedules]
+    cells = [(label, SolverSpec(method=params["method"], nfe=nfe, schedule=schedule,
+                                checkpoints=checkpoints)) for nfe, label, schedule in table]
 
-    def run_cell(nfe, schedule):
-        spec = SolverSpec(method=params["method"], nfe=nfe, schedule=schedule,
-                          checkpoints=checkpoints)
-        traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=n, seed=seed,
-                         interp=interp)
-        return track_fld(traj, reference, reference_id=ref_id)
-
-    floor_report = run_cell(params["floor_nfe"], ScaleSchedule("linear", 1.0, 1.0))
+    ck, interp, train_config = _load_net(params["checkpoint"])
+    reference, ref_id = _reference(train_config["dataset"], MIN_REFERENCE_SAMPLES, seed)
+    out_dir = Path(out_dir)
     header = ["nfe", "label", "s_start", "s_end"] + [f"fld_at_{t:g}" for t in checkpoints]
-    rows = [[params["floor_nfe"], "floor", 1.0, 1.0] + list(floor_report.values)]
-    terminal = {}  # nfe -> label -> terminal distance
-    for nfe in params["nfe"]:
-        for label, schedule in schedules:
-            report = run_cell(nfe, schedule)
-            terminal.setdefault(nfe, {})[label] = report.terminal
-            rows.append([nfe, label, schedule.s_start, schedule.s_end] + list(report.values))
+    rows = []
+    for label, spec in cells:
+        # no name keeps a trajectory alive while the next cell integrates
+        report = track_fld(integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=n,
+                                     seed=seed, interp=interp), reference, reference_id=ref_id)
+        rows.append([spec.nfe, label, spec.schedule.s_start, spec.schedule.s_end,
+                     *report.values])
     write_csv(out_dir / "lag_sweep.csv", header, rows)
 
-    summary_lines = [f"reference: {ref_id}",
-                     f"floor (nfe={params['floor_nfe']}): terminal FLD "
-                     f"{floor_report.terminal:.6g}"]
-    exit_code = EXIT_OK
+    floor = rows[0][-1]
     primary_nfe = params["nfe"][0]
-    primary = terminal[primary_nfe]
+    primary = {row[1]: row[-1] for row in rows[1:1 + len(schedules)]}  # label -> terminal
     baseline = primary["baseline"]
-    ratio = baseline / max(floor_report.terminal, 1e-300)
-    summary_lines.append(f"baseline (nfe={primary_nfe}): terminal FLD "
-                         f"{baseline:.6g} ({ratio:.2f}x the floor)")
+    ratio = baseline / max(floor, 1e-300)
     improving = [label for label, schedule in injected
                  if schedule.s_start > 1.0 and primary[label] < baseline]
     best_label = min(primary, key=primary.get)
-    summary_lines.append(f"best cell at nfe={primary_nfe}: {best_label} "
-                         f"(terminal FLD {primary[best_label]:.6g})")
+    summary_lines = [f"reference: {ref_id}",
+                     f"floor (nfe={params['floor_nfe']}): terminal FLD {floor:.6g}",
+                     f"baseline (nfe={primary_nfe}): terminal FLD "
+                     f"{baseline:.6g} ({ratio:.2f}x the floor)",
+                     f"best cell at nfe={primary_nfe}: {best_label} "
+                     f"(terminal FLD {primary[best_label]:.6g})"]
     if improving:
         summary_lines.append("improving s_start rows: " + ", ".join(improving))
     else:
         summary_lines.append(f"CAVEAT: {OVERSHOOT_CAVEAT}")
-        exit_code = EXIT_OVERSHOOT
     (out_dir / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     print("\n".join(summary_lines))
     print(f"wrote {out_dir / 'lag_sweep.csv'}")
@@ -480,7 +480,7 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
         raise CheckFailedError(
             f"baseline terminal FLD is only {ratio:.2f}x the discretization floor "
             f"(required {required}x): no integration lag to correct")
-    return exit_code
+    return EXIT_OK if improving else EXIT_OVERSHOOT
 
 
 def _schedule_calibrate(params, seed, out) -> int:

@@ -162,7 +162,6 @@ class FldReport:
     times: tuple
     values: np.ndarray
     reference_id: str
-    n_samples: int
 
     def __post_init__(self):
         if len(self.times) != self.values.size or np.any(self.values < 0):
@@ -173,12 +172,14 @@ class FldReport:
         return float(self.values[-1])
 
 
+_RIDGE_SCALE = 1e-6  # relative ridge on checkpoint covariances, scaled by tr(S)/D
+
+
 def track_fld(traj: Trajectory, reference: MomentStats,
-              reference_id: str = "target", eps_scale: float = 1e-6,
-              verify: bool = False) -> FldReport:
+              reference_id: str = "target", verify: bool = False) -> FldReport:
     """Fréchet distance to the target at every trajectory checkpoint.
 
-    Checkpoint covariances get a relative ridge eps * tr(S)/D before the
+    Checkpoint covariances get a relative ridge _RIDGE_SCALE * tr(S)/D before the
     matrix square root; batches smaller than D+1 are rank-deficient and
     raise a warning (the ridge keeps them usable).  ``traj`` is any
     (times, states) pair: a Trajectory as integrated or as loaded from a file.
@@ -190,13 +191,11 @@ def track_fld(traj: Trajectory, reference: MomentStats,
         if stats.n_samples < stats.dim + 1:
             warnings.warn(f"checkpoint batch of {stats.n_samples} samples is below "
                           f"D+1={stats.dim + 1}; covariance is rank-deficient", stacklevel=2)
-        eps = eps_scale * float(np.trace(stats.cov)) / stats.dim
+        eps = _RIDGE_SCALE * float(np.trace(stats.cov)) / stats.dim
         ridged = MomentStats(mean=stats.mean, cov=stats.cov + eps * np.eye(stats.dim),
                              n_samples=stats.n_samples)
         values.append(frechet_gaussian(ridged, reference, verify=verify))
-    n = states[0].shape[0] if states else 0
-    return FldReport(times=tuple(times), values=np.array(values),
-                     reference_id=reference_id, n_samples=n)
+    return FldReport(times=tuple(times), values=np.array(values), reference_id=reference_id)
 
 
 def lag_improvement(baseline: FldReport, corrected: FldReport) -> np.ndarray:

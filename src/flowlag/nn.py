@@ -317,10 +317,3 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(net=net, optimizer=optimizer, rng_state=meta["rng_state"],
                       step=meta["step"], extra=meta["extra"])
 
-
-def restore_rng(state: dict) -> np.random.Generator:
-    """Rebuild a generator from a checkpointed bit-generator state."""
-    bitgen = getattr(np.random, state["bit_generator"])()
-    gen = np.random.Generator(bitgen)
-    gen.bit_generator.state = state
-    return gen

@@ -7,6 +7,8 @@ reproduces the uncorrected solver bit for bit.  The stochastic sampler
 derives drift and score from the already-scaled velocity, so the ODE and
 SDE corrections are consistent.
 
+Every step updates its float64 batch x in place and returns it, using the
+buffers ``integrate`` allocates once per run, or its own without ``work``.
 Integration runs on the uniform grid {k/nfe : k = 0..nfe}; requested
 checkpoint times snap to the nearest grid node (at most dt/2 away).
 """
@@ -141,14 +143,21 @@ def _view(buf, dtype):
     return np.ndarray(buf.shape, dtype, buffer=buf)
 
 
+def _workspace(x, heun: bool, work=None):
+    """``work``, or new buffers for steps on the batch x: three float64 row
+    blocks, then Heun's v1 and predictor."""
+    n, dim = x.shape
+    return work or (*np.empty((3, min(_BLOCK_ROWS, n), dim)), *np.empty((2 * heun, n, dim)))
+
+
 def _blocks(x, work, vtype):
-    """Row blocks of x as (rows, b0, b1, b2): block buffers cut to fit, None without
-    ``work``.  b0 is float64, x's dtype under ``integrate``; b1 and b2 are viewed in
-    vtype, the field's, so every temporary has its whole-array expression's dtype."""
-    buffers = (work[0], _view(work[1], vtype), _view(work[2], vtype)) if work else [None] * 3
+    """Row blocks of x as (rows, b0, b1, b2), the block buffers cut to fit.  b0 is
+    float64, x's dtype; b1 and b2 are viewed in vtype, the field's, so every
+    temporary has its whole-array expression's dtype."""
+    buffers = (work[0], _view(work[1], vtype), _view(work[2], vtype))
     for i in range(0, len(x), _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, len(x) - i)
-        yield (slice(i, i + n), *(None if b is None else b[:n] for b in buffers))
+        yield (slice(i, i + n), *(b[:n] for b in buffers))
 
 
 def scaled_velocity(field, schedule: ScaleSchedule, x, t: float):
@@ -173,18 +182,15 @@ def _velocity(field, schedule: ScaleSchedule, x, t: float):
 
 
 def _euler_update(x, v, gamma: float, dt: float, work):
-    """x + (gamma v) dt, block by block."""
-    vtype = np.result_type(v, dt)
-    out = x if work else np.empty(x.shape, np.result_type(x, vtype))
-    for r, _, b, _ in _blocks(x, work, vtype):
-        np.add(x[r], np.multiply(np.multiply(v[r], gamma, out=b), dt, out=b), out=out[r])
-    return out
+    """x += (gamma v) dt, block by block."""
+    for r, _, b, _ in _blocks(x, work, np.result_type(v, dt)):
+        np.add(x[r], np.multiply(np.multiply(v[r], gamma, out=b), dt, out=b), out=x[r])
+    return x
 
 
 def euler_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
-    """x + gamma(t) v(x, t) dt, as a new array; with ``work``, the buffers that
-    ``integrate`` passes, x is updated in place and returned, as in every step."""
-    return _euler_update(x, *_velocity(field, schedule, x, t), dt, work)
+    """x + gamma(t) v(x, t) dt."""
+    return _euler_update(x, *_velocity(field, schedule, x, t), dt, _workspace(x, False, work))
 
 
 def heun_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
@@ -193,20 +199,18 @@ def heun_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=No
     v1 is kept across the second field call, which may reuse the array
     the first call returned, so the step scales it into its own array.
     """
+    work = _workspace(x, True, work)
     v, gamma = _velocity(field, schedule, x, t)
     vtype = np.result_type(v, dt)
-    v1, x_pred = ((_view(work[3], vtype), work[4]) if work else
-                  (np.empty(x.shape, vtype), np.empty(x.shape, np.result_type(x, vtype))))
+    v1, x_pred = _view(work[3], vtype), work[4]
     for r, _, b, _ in _blocks(x, work, vtype):
         np.add(x[r], np.multiply(np.multiply(v[r], gamma, out=v1[r]), dt, out=b), out=x_pred[r])
     del v   # one (N, D) array less while the field runs again
     v, gamma = _velocity(field, schedule, x_pred, t + dt)
-    vtype = np.result_type(v1, v, dt)
-    out = x if work else np.empty(x.shape, np.result_type(x, vtype))
-    for r, _, b, _ in _blocks(x, work, vtype):
+    for r, _, b, _ in _blocks(x, work, np.result_type(v1, v, dt)):
         dv = np.add(v1[r], np.multiply(v[r], gamma, out=b), out=b)
-        np.add(x[r], np.multiply(dv, 0.5 * dt, out=dv), out=out[r])
-    return out
+        np.add(x[r], np.multiply(dv, 0.5 * dt, out=dv), out=x[r])
+    return x
 
 
 def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt: float,
@@ -220,23 +224,22 @@ def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt
     The score's coefficients are taken at t clamped into [t_min, 1 - t_min].
     Noise is drawn block by block in row order: the stream of one whole draw.
     """
+    work = _workspace(x, False, work)
     v, gamma = _velocity(field, schedule, x, t)
     w = 0.0 if diffusion == "zero" else float(interp.sigma(t))
     if w == 0.0:
         return _euler_update(x, v, gamma, dt, work)
     a, s, da, ds = (float(c) for c in interp.coefficients(min(max(t, t_min), 1.0 - t_min)))
     denom = s * (a * ds - da * s)
-    vtype = np.result_type(v, dt)
-    out = x if work else np.empty(x.shape, np.result_type(x, vtype, np.float64))  # float64 noise
-    for r, b0, b1, b2 in _blocks(x, work, vtype):
+    for r, b0, b1, b2 in _blocks(x, work, np.result_type(v, dt)):
         gv = np.multiply(v[r], gamma, out=b1)
         score = np.subtract(np.multiply(x[r], da, out=b0), np.multiply(gv, a, out=b2), out=b0)
         score = np.divide(score, denom, out=score)
         drift = np.add(gv, np.multiply(score, 0.5 * w * w, out=score), out=score)
-        x_r = np.add(x[r], np.multiply(drift, dt, out=drift), out=out[r])
-        noise = rng.standard_normal(x_r.shape) if b0 is None else rng.standard_normal(out=b0)
+        x_r = np.add(x[r], np.multiply(drift, dt, out=drift), out=x[r])
+        noise = rng.standard_normal(out=b0)
         np.add(x_r, np.multiply(noise, w * math.sqrt(dt), out=noise), out=x_r)
-    return out
+    return x
 
 
 class Trajectory(NamedTuple):
@@ -255,10 +258,11 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     particles default to standard normal noise drawn from a stream
     derived from ``seed``; pass ``x0`` to integrate a fixed batch.
 
-    The batch is updated in place, block by block, through buffers allocated
-    once per run, bit for bit as whole-array steps would.  The steps never
-    write into an array the field returned, so the field may return its
-    input, an array it keeps, or one output buffer it reuses.
+    Each step updates the float64 batch in place, block by block, through
+    one buffer set allocated for the whole run, bit for bit as whole-array
+    expressions would.  The steps never write into an array the field
+    returned, so the field may return its input, an array it keeps, or one
+    output buffer it reuses.
     """
     if spec.method == "euler-maruyama" and interp is None:
         raise ConfigError("euler-maruyama integration requires the interpolant")
@@ -273,9 +277,7 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     # arange/nfe gives each node as the correctly rounded k/nfe (endpoint 1.0 exact)
     grid = np.arange(spec.nfe + 1, dtype=np.float64) / spec.nfe
     node_for = [int(round(c * spec.nfe)) for c in spec.checkpoints]
-    # buffers for the whole run: three float64 row blocks, then Heun's v1 and predictor
-    work = (*np.empty((3, min(_BLOCK_ROWS, n_particles), dim)),
-            *np.empty((2 * (spec.method == "heun"), n_particles, dim)))
+    work = _workspace(x, spec.method == "heun")
     recorded = {}
     if 0 in node_for:
         recorded[0] = x.copy()
@@ -283,12 +285,12 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
         t, t_next = float(grid[k]), float(grid[k + 1])
         dt = t_next - t
         if spec.method == "euler":
-            x = euler_step(field, spec.schedule, x, t, dt, work=work)
+            euler_step(field, spec.schedule, x, t, dt, work=work)
         elif spec.method == "heun":
-            x = heun_step(field, spec.schedule, x, t, dt, work=work)
+            heun_step(field, spec.schedule, x, t, dt, work=work)
         else:
-            x = em_step(field, spec.schedule, interp, x, t, dt, noise_rng,
-                        diffusion=spec.diffusion, t_min=spec.t_min, work=work)
+            em_step(field, spec.schedule, interp, x, t, dt, noise_rng,
+                    diffusion=spec.diffusion, t_min=spec.t_min, work=work)
         if k + 1 in node_for:
             recorded[k + 1] = x.copy()
     return Trajectory(tuple(float(grid[j]) for j in node_for), [recorded[j] for j in node_for])

@@ -247,7 +247,7 @@ def _ssc_clauses(interp, data_std):
             scaling_ok = False
         # the solver applies gamma itself, block by block: the step that
         # sampling runs must carry the same literal product
-        if not np.array_equal(euler_step(field, sched, x, t, 0.04), x + (g * v) * 0.04):
+        if not np.array_equal(euler_step(field, sched, x.copy(), t, 0.04), x + (g * v) * 0.04):
             step_ok = False
         rel = np.abs(np.linalg.norm(v_hat, axis=1) - g * np.linalg.norm(v, axis=1))
         rel /= np.maximum(g * np.linalg.norm(v, axis=1), 1e-300)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shlex
 import subprocess
 import sys
 import zipfile
@@ -236,6 +237,14 @@ class TestDiagnoseCommands:
             assert (manifest["config"]["traj"], manifest["config"]["reference"]) \
                 == (str(tmp_path / f"{name}.bin"), reference)
 
+    def test_fld_refuses_a_reference_of_another_dimension(self, fld_inputs, tmp_path, capsys):
+        out = tmp_path / "fld.csv"
+        assert run_cli("diagnose", "fld", "--traj", fld_inputs[0], "--reference",
+                       "gaussian:8:1.0", "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "dimension 4" in err and "dimension 8" in err
+        assert not out.exists()
+
     def test_lag_refuses_reports_against_different_references(self, tiny_run, tmp_path, capsys):
         traj = tmp_path / "traj.bin"
         run_cli("sample", "--checkpoint", str(tiny_run.checkpoint_path), "--nfe", "10",
@@ -311,6 +320,24 @@ class TestLagSweep:
         terminal = {r[1]: float(r[-1]) for r in rows if r[0] == "4"}
         assert terminal["linear:0.8:1.0"] < terminal["baseline"] < terminal["linear:1.2:1.0"]
         assert "CAVEAT" in (out / "summary.txt").read_text()
+
+
+    @pytest.mark.parametrize("bad", [["--nfe", "0"], ["--floor-nfe", "0"],
+                                     ["--checkpoints", "0.2,0.4"]])
+    def test_invalid_cell_exits_2_before_any_integration(self, tiny_run, tmp_path, monkeypatch,
+                                                          capsys, bad):
+        """Every cell is checked before the first is integrated, and the terminal
+        distance is taken at t = 1, so the checkpoints must end there."""
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "sweep"
+        assert run_cli("lag-sweep", "--checkpoint", str(tiny_run.checkpoint_path),
+                       "--particles", "64", "--floor-nfe", "20", *bad,
+                       "--out", str(out)) == EXIT_CONFIG
+        assert calls == []
+        assert not (out / "lag_sweep.csv").exists()
+        if bad[0] == "--checkpoints":
+            assert "end at 1.0" in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -499,6 +526,22 @@ def test_argument_problems_exit_2(argv, tiny_run, fld_inputs, tmp_path):
         code = exc.code
     assert code == EXIT_CONFIG
     assert not out.is_file() and not (out / "lag_sweep.csv").exists()
+
+
+def test_readme_cli_commands_parse():
+    """Every command in README's CLI block parses with the real parser; none is run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert commands
+    parser = cli._build_parser()
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "flowlag", line
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 @pytest.mark.parametrize("spec", [{"nfe": []}, {"s_start": []}, {"checkpoints": []}])

@@ -172,15 +172,15 @@ class TestTrackFld:
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):
-            FldReport(times=(0.5, 1.0), values=np.array([1.0]), reference_id="x", n_samples=4)
+            FldReport(times=(0.5, 1.0), values=np.array([1.0]), reference_id="x")
         with pytest.raises(ValueError):
-            FldReport(times=(1.0,), values=np.array([-0.1]), reference_id="x", n_samples=4)
+            FldReport(times=(1.0,), values=np.array([-0.1]), reference_id="x")
 
 
 class TestLagImprovement:
     def _report(self, values, ref="target"):
         return FldReport(times=(0.5, 1.0), values=np.asarray(values, dtype=float),
-                         reference_id=ref, n_samples=8)
+                         reference_id=ref)
 
     def test_identical_reports_give_zero(self):
         base = self._report([2.0, 1.0])
@@ -193,8 +193,7 @@ class TestLagImprovement:
 
     def test_grid_mismatch_rejected(self):
         base = self._report([2.0, 1.0])
-        other = FldReport(times=(0.25, 1.0), values=np.array([2.0, 1.0]),
-                          reference_id="target", n_samples=8)
+        other = FldReport(times=(0.25, 1.0), values=np.array([2.0, 1.0]), reference_id="target")
         with pytest.raises(ValueError):
             lag_improvement(base, other)
         with pytest.raises(ValueError):

