@@ -471,12 +471,12 @@ def _reference_step(method, field, schedule, x, t, dt, rng=None, diffusion="sigm
     return x + (v + 0.5 * w * w * score) * dt + w * math.sqrt(dt) * rng.standard_normal(x.shape)
 
 
-def _direct_step(method, field, schedule, x, t, dt, rng):
+def _direct_step(method, field, schedule, x, t, dt, rng, diffusion="sigma"):
     if method == "euler":
         return euler_step(field, schedule, x, t, dt)
     if method == "heun":
         return heun_step(field, schedule, x, t, dt)
-    return em_step(field, schedule, LINEAR, x, t, dt, rng)
+    return em_step(field, schedule, LINEAR, x, t, dt, rng, diffusion=diffusion)
 
 
 class TestDirectSteps:
@@ -505,6 +505,25 @@ class TestDirectSteps:
         em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.3, 0.1, rng)
         whole.standard_normal(x.shape)
         assert rng.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
+    @pytest.mark.parametrize("method,diffusion", METHODS)
+    @pytest.mark.parametrize("field_dtype", [np.float32, np.float64])
+    def test_multi_block_step_updates_x_to_the_whole_array_step(self, field_dtype, method,
+                                                                diffusion, schedule):
+        """Two row blocks through the step's own buffers, for a float32 or float64 field."""
+        def field(x, t):
+            return (np.sin(x) + t).astype(field_dtype)
+
+        x = np.random.default_rng(5).standard_normal((_BLOCK_ROWS + 3, self.DIM))
+        kept = x.copy()
+        got = _direct_step(method, field, schedule, x, 0.3, 0.1, np.random.default_rng(2),
+                           diffusion)
+        want = _reference_step(method, field, schedule, kept, 0.3, 0.1, np.random.default_rng(2),
+                               diffusion)
+        assert got is x
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
 
 
 class TestStepMemory:
