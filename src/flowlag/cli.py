@@ -27,8 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .datasets import make_dataset
-from .diagnostics import (MIN_REFERENCE_SAMPLES, FldReport, lag_improvement, norm_profile,
-                          reference_from_dataset, split_half_fld, track_fld)
+from .diagnostics import (MIN_REFERENCE_SAMPLES, FldReport, MomentStats, lag_improvement,
+                          node_fld, norm_profile, reference_from_dataset, split_half_fld,
+                          track_fld)
 from .errors import CheckFailedError, ConfigError
 from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample, cross_term_expectation,
                               jensen_gap, marginal_variance, require_n_mc, rho_statistics,
@@ -446,11 +447,11 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     header = ["nfe", "label", "s_start", "s_end"] + [f"fld_at_{t:g}" for t in checkpoints]
     rows = []
     for label, spec in cells:
-        # no name keeps a trajectory alive while the next cell integrates
-        report = track_fld(integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=n,
-                                     seed=seed, interp=interp), reference, reference_id=ref_id)
+        # nodes keep only their moments; from_samples is looked up per cell, so traces see it
+        traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=n, seed=seed,
+                         interp=interp, record=MomentStats.from_samples)
         rows.append([spec.nfe, label, spec.schedule.s_start, spec.schedule.s_end,
-                     *report.values])
+                     *(node_fld(stats, reference, t) for t, stats in zip(*traj))])
     write_csv(out_dir / "lag_sweep.csv", header, rows)
 
     floor = rows[0][-1]

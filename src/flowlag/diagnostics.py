@@ -13,7 +13,7 @@ monotone decreasing series and a stalled flow shows residual distance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,27 +175,30 @@ class FldReport:
 _RIDGE_SCALE = 1e-6  # relative ridge on checkpoint covariances, scaled by tr(S)/D
 
 
+def node_fld(stats: MomentStats, reference: MomentStats, t: float,
+             verify: bool = False) -> float:
+    """Fréchet distance to the target of the finite moments recorded at node time t.
+
+    The covariance gets a relative ridge _RIDGE_SCALE * tr(S)/D before the matrix
+    square root; fewer than D+1 samples are rank-deficient and raise a warning.
+    """
+    if not (np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.cov))):
+        raise ValueError(f"non-finite moments at node t={t}")
+    if stats.n_samples < stats.dim + 1:
+        warnings.warn(f"checkpoint batch of {stats.n_samples} samples is below "
+                      f"D+1={stats.dim + 1}; covariance is rank-deficient", stacklevel=2)
+    eps = _RIDGE_SCALE * float(np.trace(stats.cov)) / stats.dim
+    return frechet_gaussian(replace(stats, cov=stats.cov + eps * np.eye(stats.dim)), reference,
+                            verify=verify)
+
+
 def track_fld(traj: Trajectory, reference: MomentStats,
               reference_id: str = "target", verify: bool = False) -> FldReport:
-    """Fréchet distance to the target at every trajectory checkpoint.
-
-    Checkpoint covariances get a relative ridge _RIDGE_SCALE * tr(S)/D before the
-    matrix square root; batches smaller than D+1 are rank-deficient and
-    raise a warning (the ridge keeps them usable).  ``traj`` is any
-    (times, states) pair: a Trajectory as integrated or as loaded from a file.
-    """
-    times, states = traj
-    values = []
-    for batch in states:
-        stats = MomentStats.from_samples(np.asarray(batch, dtype=np.float64))
-        if stats.n_samples < stats.dim + 1:
-            warnings.warn(f"checkpoint batch of {stats.n_samples} samples is below "
-                          f"D+1={stats.dim + 1}; covariance is rank-deficient", stacklevel=2)
-        eps = _RIDGE_SCALE * float(np.trace(stats.cov)) / stats.dim
-        ridged = MomentStats(mean=stats.mean, cov=stats.cov + eps * np.eye(stats.dim),
-                             n_samples=stats.n_samples)
-        values.append(frechet_gaussian(ridged, reference, verify=verify))
-    return FldReport(times=tuple(times), values=np.array(values), reference_id=reference_id)
+    """node_fld at every checkpoint of ``traj``, any (times, batches) pair: a
+    Trajectory as integrated or as loaded from a file."""
+    values = [node_fld(MomentStats.from_samples(batch), reference, t, verify=verify)
+              for t, batch in zip(*traj)]
+    return FldReport(times=tuple(traj[0]), values=np.array(values), reference_id=reference_id)
 
 
 def lag_improvement(baseline: FldReport, corrected: FldReport) -> np.ndarray:

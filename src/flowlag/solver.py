@@ -16,6 +16,7 @@ checkpoint times snap to the nearest grid node (at most dt/2 away).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -243,14 +244,14 @@ def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt
 
 
 class Trajectory(NamedTuple):
-    """Particle batches recorded during one integration, or read back from a file."""
+    """What one integration recorded at its nodes, or batches read back from a file."""
 
     node_times: tuple   # grid times recorded (<= dt/2 from the requested ones)
-    states: list        # one (n_particles, dim) array per node
+    states: list        # one record(x) per node: by default an (n_particles, dim) batch
 
 
 def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0,
-              interp: Interpolant | None = None, x0=None) -> Trajectory:
+              interp: Interpolant | None = None, x0=None, *, record=np.copy) -> Trajectory:
     """March a particle batch from t=0 to t=1 on a uniform nfe-step grid.
 
     The stochastic method needs the interpolant for its score conversion
@@ -263,6 +264,10 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     expressions would.  The steps never write into an array the field
     returned, so the field may return its input, an array it keeps, or one
     output buffer it reuses.
+
+    Each recorded node keeps ``record(x)`` of the live batch, which the next
+    step overwrites: a copy by default, or a reduction such as
+    ``MomentStats.from_samples``, so that no batch outlives its node.
     """
     if spec.method == "euler-maruyama" and interp is None:
         raise ConfigError("euler-maruyama integration requires the interpolant")
@@ -280,7 +285,7 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
     work = _workspace(x, spec.method == "heun")
     recorded = {}
     if 0 in node_for:
-        recorded[0] = x.copy()
+        recorded[0] = record(x)
     for k in range(spec.nfe):
         t, t_next = float(grid[k]), float(grid[k + 1])
         dt = t_next - t
@@ -292,7 +297,7 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
             em_step(field, spec.schedule, interp, x, t, dt, noise_rng,
                     diffusion=spec.diffusion, t_min=spec.t_min, work=work)
         if k + 1 in node_for:
-            recorded[k + 1] = x.copy()
+            recorded[k + 1] = record(x)
     return Trajectory(tuple(float(grid[j]) for j in node_for), [recorded[j] for j in node_for])
 
 
@@ -300,6 +305,7 @@ def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0
 
 _TRAJ_MAGIC = b"FLOWTRAJ"
 _TRAJ_VERSION = 1
+_TRAJ_HEADER = struct.Struct("<8sIIII")   # magic, version, dim, particles, nodes
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
@@ -309,25 +315,30 @@ def save_trajectory(path, traj: Trajectory) -> None:
             or any(np.shape(batch) != (n_particles, dim) for batch in traj.states)):
         raise ValueError("need one batch per node time, all of one shape")
     with open(path, "wb") as fh:
-        fh.write(_TRAJ_MAGIC)
-        fh.write(struct.pack("<IIII", _TRAJ_VERSION, dim, n_particles, len(traj.node_times)))
+        fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, _TRAJ_VERSION, dim, n_particles, len(traj.states)))
         fh.write(np.asarray(traj.node_times, dtype="<f8").tobytes())
         for batch in traj.states:
             fh.write(np.ascontiguousarray(batch, dtype="<f4").tobytes())
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory container; its states are float32 batches."""
+    """Read a trajectory container; its states are float32 batches.  The file
+    must hold exactly the nodes its header counts, at least one, and no byte more."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _TRAJ_MAGIC:
-            raise ValueError(f"not a trajectory file: bad magic {magic!r}")
-        version, dim, n_particles, n_checkpoints = struct.unpack("<IIII", fh.read(16))
+        header = fh.read(_TRAJ_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+        if header[:8] != _TRAJ_MAGIC:
+            raise ValueError(f"not a trajectory file: bad magic {header[:8]!r}")
+        if len(header) < _TRAJ_HEADER.size:
+            raise ValueError(f"trajectory {path} is {size} bytes, shorter than its "
+                             f"{_TRAJ_HEADER.size}-byte header")
+        _, version, dim, n_particles, n_nodes = _TRAJ_HEADER.unpack(header)
         if version != _TRAJ_VERSION:
             raise ValueError(f"unsupported trajectory version {version}")
-        times = np.frombuffer(fh.read(8 * n_checkpoints), dtype="<f8")
-        states = []
-        for _ in range(n_checkpoints):
-            raw = fh.read(4 * n_particles * dim)
-            states.append(np.frombuffer(raw, dtype="<f4").reshape(n_particles, dim))
-    return Trajectory(tuple(times.tolist()), states)
+        expected = _TRAJ_HEADER.size + 8 * n_nodes + 4 * n_nodes * n_particles * dim
+        if size != expected or min(dim, n_particles, n_nodes) < 1:
+            raise ValueError(f"trajectory {path} is {size} bytes; its header's {n_nodes} nodes "
+                             f"of {n_particles}x{dim} need {expected}, and every count >= 1")
+        times = np.frombuffer(fh.read(8 * n_nodes), dtype="<f8")
+        states = np.frombuffer(fh.read(size - fh.tell()), dtype="<f4")   # sized: one buffer
+    return Trajectory(tuple(times.tolist()), list(states.reshape(n_nodes, n_particles, dim)))

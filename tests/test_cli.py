@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -245,6 +246,27 @@ class TestDiagnoseCommands:
         assert "dimension 4" in err and "dimension 8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["trailing bytes", "zero nodes", "non-finite states"])
+    def test_fld_of_a_malformed_trajectory_exits_4(self, fld_inputs, tmp_path, capsys, fault):
+        """A file that does not match its header is an IO fault naming the file; a
+        non-finite state is a numerical fault naming its node time."""
+        data = bytearray(Path(fld_inputs[0]).read_bytes())   # 5 nodes of 64 x 4
+        if fault == "trailing bytes":
+            data += data[24 + 40:]
+        elif fault == "zero nodes":
+            data = data[:20] + bytes(4)
+        else:
+            at = 24 + 40 + 2 * 64 * 4 * 4   # the first value at t = 0.6
+            data[at:at + 4] = np.float32(np.nan).tobytes()
+        traj, out = tmp_path / "bad.bin", tmp_path / "fld.csv"
+        traj.write_bytes(bytes(data))
+        assert run_cli("diagnose", "fld", "--traj", str(traj), "--reference", "gaussian:4:1.0",
+                       "--out", str(out)) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "non-finite moments at node t=0.6" in err if fault == "non-finite states" \
+            else str(traj) in err
+        assert not out.exists()
+
     def test_lag_refuses_reports_against_different_references(self, tiny_run, tmp_path, capsys):
         traj = tmp_path / "traj.bin"
         run_cli("sample", "--checkpoint", str(tiny_run.checkpoint_path), "--nfe", "10",
@@ -321,6 +343,28 @@ class TestLagSweep:
         assert terminal["linear:0.8:1.0"] < terminal["baseline"] < terminal["linear:1.2:1.0"]
         assert "CAVEAT" in (out / "summary.txt").read_text()
 
+
+    def test_memory_does_not_grow_with_checkpoints(self, tiny_run, tmp_path):
+        """The sweep keeps each node's moments, not its batch: twice the checkpoints
+        raise the traced allocation peak by less than one batch."""
+        n, dim = 4096, 4
+
+        def peak(k):
+            times = ",".join(f"{j / k:g}" for j in range(1, k + 1))
+            tracemalloc.start()
+            try:
+                code = run_cli("lag-sweep", "--checkpoint", str(tiny_run.checkpoint_path),
+                               "--nfe", "10", "--floor-nfe", "20", "--s-start", "1.0,1.1",
+                               "--particles", str(n), "--checkpoints", times,
+                               "--out", str(tmp_path / str(k)))
+                assert code in (EXIT_OK, EXIT_OVERSHOOT)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)   # warm: one-time allocations count in neither run below
+        grown = peak(10) - peak(5)
+        assert grown < n * dim * 8, grown / (n * dim * 8)
 
     @pytest.mark.parametrize("bad", [["--nfe", "0"], ["--floor-nfe", "0"],
                                      ["--checkpoints", "0.2,0.4"]])

@@ -170,6 +170,14 @@ class TestTrackFld:
         with pytest.warns(UserWarning, match="rank-deficient"):
             track_fld(((1.0,), [batch]), gaussian_reference(16), "analytic")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_node_is_refused_by_its_time(self, bad):
+        batches = [np.random.default_rng(7).standard_normal((64, 16)) for _ in range(3)]
+        batches[1][3, 5] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite moments at node t=0.4"):
+            track_fld(((0.2, 0.4, 1.0), batches), gaussian_reference(16), "analytic")
+
     def test_report_invariants(self):
         with pytest.raises(ValueError):
             FldReport(times=(0.5, 1.0), values=np.array([1.0]), reference_id="x")

@@ -1,12 +1,14 @@
 """Schedule algebra, corrected steppers, convergence orders, trajectory IO."""
 
 import math
+import struct
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from flowlag.diagnostics import MomentStats
 from flowlag.errors import ConfigError, NonFiniteVelocityError
 from flowlag.gaussian_oracle import GaussianFlowSpec, OracleField
 from flowlag.interpolant import LinearPath, make_interpolant
@@ -526,24 +528,57 @@ class TestDirectSteps:
         np.testing.assert_array_equal(got, want)
 
 
+class TestRecordedMoments:
+    """Nodes recorded by MomentStats.from_samples hold the copies' moments, bit for bit."""
+
+    DIM, NFE, SEED = 6, 6, 21
+    CHECKPOINTS = (0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
+    @pytest.mark.parametrize("method,diffusion", METHODS)
+    @pytest.mark.parametrize("field_kind", ["oracle-float64", "mlp-float32"])
+    def test_moments_match_the_copied_batches(self, field_kind, method, diffusion, schedule, n):
+        field = (OracleField(GaussianFlowSpec(dim=self.DIM, data_std=2.0), LINEAR)
+                 if field_kind == "oracle-float64" else _float32_net(self.DIM).forward)
+        spec = SolverSpec(method=method, nfe=self.NFE, schedule=schedule, diffusion=diffusion,
+                          checkpoints=self.CHECKPOINTS)
+
+        def run(**record):
+            return integrate(field, spec, dim=self.DIM, n_particles=n, seed=self.SEED,
+                             interp=LINEAR, **record)
+
+        copied, reduced = run(), run(record=MomentStats.from_samples)
+        assert reduced.node_times == copied.node_times
+        assert len(reduced.states) == len(self.CHECKPOINTS)
+        for batch, got in zip(copied.states, reduced.states):
+            want = MomentStats.from_samples(batch)
+            assert got.n_samples == n
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.cov.tobytes() == want.cov.tobytes()
+
+
 class TestStepMemory:
     """A warm run allocates its batch, states and run-long buffers, and no
     whole-array temporaries (a deterministic guard, independent of timing)."""
 
     DIM, N, NFE = 64, 8192, 5
 
-    @pytest.mark.parametrize("method", ["euler", "heun", "euler-maruyama"])
-    def test_peak_allocation_stays_within_budget(self, method):
+    def _peak_and_fixed_budget(self, method, checkpoints=(1.0,), **record):
+        """The traced peak of a warm run, and the budget every run shares: its
+        batch, Heun's two arrays, the block buffers and 1 MB."""
         kept = np.empty((self.N, self.DIM))
 
         def field(x, t):
             return np.multiply(x, -0.5, out=kept)   # field allocations would not count
 
-        spec = SolverSpec(method=method, nfe=self.NFE)
+        spec = SolverSpec(method=method, nfe=self.NFE, checkpoints=checkpoints)
         x0 = np.random.default_rng(0).standard_normal((self.N, self.DIM))
 
         def run():
-            integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=1, interp=LINEAR, x0=x0)
+            integrate(field, spec, dim=self.DIM, n_particles=self.N, seed=1, interp=LINEAR,
+                      x0=x0, **record)
 
         run()
         tracemalloc.start()
@@ -555,7 +590,21 @@ class TestStepMemory:
         batch = x0.nbytes
         heun = 2 * batch if method == "heun" else 0              # v1 and the predictor
         blocks = 3 * _BLOCK_ROWS * self.DIM * 8
-        budget = batch * (1 + len(spec.checkpoints)) + heun + blocks + (1 << 20)
+        return peak, batch + heun + blocks + (1 << 20)
+
+    @pytest.mark.parametrize("method", ["euler", "heun", "euler-maruyama"])
+    def test_peak_allocation_stays_within_budget(self, method):
+        peak, fixed = self._peak_and_fixed_budget(method)
+        budget = fixed + self.N * self.DIM * 8                   # one copied state
+        assert peak <= budget, (peak / 2**20, budget / 2**20)
+
+    @pytest.mark.parametrize("method", ["euler", "heun", "euler-maruyama"])
+    def test_recorded_moments_hold_no_batch_per_checkpoint(self, method):
+        """Recording each node's moments costs one transient centred copy, however
+        many nodes are recorded."""
+        peak, fixed = self._peak_and_fixed_budget(method, (0.2, 0.4, 0.6, 0.8, 1.0),
+                                                  record=MomentStats.from_samples)
+        budget = fixed + self.N * self.DIM * 8                   # one centred copy
         assert peak <= budget, (peak / 2**20, budget / 2**20)
 
 
@@ -587,6 +636,32 @@ class TestTrajectoryContainer:
         """Provenance is the manifest's (see test_cli); the container is one file."""
         save_trajectory(tmp_path / "traj.bin", self._example())
         assert [p.name for p in tmp_path.iterdir()] == ["traj.bin"]
+
+    @pytest.mark.parametrize("cut", ["trailing bytes", "truncated header", "truncated times",
+                                     "truncated states"])
+    def test_file_of_another_size_than_its_header_rejected(self, tmp_path, cut):
+        """The file must be exactly 24 + 8K + 4KND bytes for K nodes of N x D."""
+        path = tmp_path / "traj.bin"
+        save_trajectory(path, self._example())
+        data = path.read_bytes()
+        assert len(data) == 24 + 8 * 2 + 4 * 2 * 17 * 3
+        data = {"trailing bytes": data + data[24 + 16:], "truncated header": data[:20],
+                "truncated times": data[:24 + 12], "truncated states": data[:-4]}[cut]
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"{path} is {len(data)} bytes") as exc:
+            load_trajectory(path)
+        assert ("24" if cut == "truncated header" else "448") in str(exc.value)
+
+    @pytest.mark.parametrize("counts", [(0, 17, 2), (3, 0, 2), (3, 17, 0)])
+    def test_header_counting_zero_rejected(self, tmp_path, counts):
+        """A header of no nodes (or particles, or dimensions) is refused, even when the
+        file holds exactly what it counts."""
+        dim, n, k = counts
+        path = tmp_path / "traj.bin"
+        path.write_bytes(b"FLOWTRAJ" + struct.pack("<IIII", 1, dim, n, k)
+                         + bytes(8 * k + 4 * k * n * dim))
+        with pytest.raises(ValueError, match=str(path)):
+            load_trajectory(path)
 
     def test_inconsistent_batches_rejected(self, tmp_path):
         times, states = self._example()
