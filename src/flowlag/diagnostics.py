@@ -43,9 +43,10 @@ class MomentStats:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 2:
             raise ValueError("need a (n >= 2, D) sample array")
-        mean = x.mean(axis=0)
-        xc = x - mean
-        cov = (xc.T @ xc) / (x.shape[0] - 1)
+        with np.errstate(invalid="ignore"):   # ±inf gives NaN moments, refused by node_fld
+            mean = x.mean(axis=0)
+            xc = x - mean
+            cov = (xc.T @ xc) / (x.shape[0] - 1)
         return cls(mean=mean, cov=cov, n_samples=x.shape[0])
 
 

@@ -246,10 +246,11 @@ class TestDiagnoseCommands:
         assert "dimension 4" in err and "dimension 8" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fault", ["trailing bytes", "zero nodes", "non-finite states"])
+    @pytest.mark.parametrize("fault", ["trailing bytes", "zero nodes", "non-finite states",
+                                       "infinite states"])
     def test_fld_of_a_malformed_trajectory_exits_4(self, fld_inputs, tmp_path, capsys, fault):
         """A file that does not match its header is an IO fault naming the file; a
-        non-finite state is a numerical fault naming its node time."""
+        non-finite state is a numerical fault naming its node time, with no warning first."""
         data = bytearray(Path(fld_inputs[0]).read_bytes())   # 5 nodes of 64 x 4
         if fault == "trailing bytes":
             data += data[24 + 40:]
@@ -257,14 +258,15 @@ class TestDiagnoseCommands:
             data = data[:20] + bytes(4)
         else:
             at = 24 + 40 + 2 * 64 * 4 * 4   # the first value at t = 0.6
-            data[at:at + 4] = np.float32(np.nan).tobytes()
+            data[at:at + 4] = np.float32(np.inf if fault == "infinite states" else np.nan).tobytes()
         traj, out = tmp_path / "bad.bin", tmp_path / "fld.csv"
         traj.write_bytes(bytes(data))
         assert run_cli("diagnose", "fld", "--traj", str(traj), "--reference", "gaussian:4:1.0",
                        "--out", str(out)) == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert "non-finite moments at node t=0.6" in err if fault == "non-finite states" \
+        assert "non-finite moments at node t=0.6" in err if fault.endswith("states") \
             else str(traj) in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_lag_refuses_reports_against_different_references(self, tiny_run, tmp_path, capsys):

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowlag.nn import Adam, Mlp, TimeEmbedding, load_checkpoint, save_checkpoint
+from flowlag.nn import (_FORWARD_ROWS, Adam, Mlp, TimeEmbedding, load_checkpoint,
+                        save_checkpoint)
 
 
 def numerical_param_gradient(net, loss_fn, key, idx, eps=1e-6):
@@ -175,6 +176,32 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * out.nbytes, f"peak {peak} bytes for a {out.nbytes}-byte output"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_row_t", [False, True])
+    def test_blocked_forward_is_bit_identical_to_one_pass(self, dtype, per_row_t):
+        rng = np.random.default_rng(29)
+        net = Mlp.create(dim=64, hidden=(256, 256, 256), rng=rng, dtype=dtype)
+        for b in net.biases:
+            b[:] = rng.uniform(-0.5, 0.5, b.shape)
+        net.skip[:] = rng.uniform(-0.5, 0.5, net.skip.shape)
+        blk = _FORWARD_ROWS
+        for n in (None, 7, blk - 1, blk, blk + 1, blk + 7, 2 * blk + 1, 3 * blk - 1, 8192, 8200):
+            x = rng.standard_normal(64 if n is None else (n, 64))
+            t = rng.uniform(0.0, 1.0, 1 if n is None else n) if per_row_t else 0.3
+            out = net.forward(x, t)
+            np.testing.assert_array_equal(out, net.forward_cached(x, t)[0], err_msg=f"{n} rows")
+            assert not any(np.shares_memory(out, buf) for buf in net._buffers.values())
+
+    def test_forward_buffers_hold_one_block_whatever_the_batch(self):
+        net = Mlp.create(dim=6, hidden=(24, 16, 32), rng=np.random.default_rng(30),
+                         n_time_pairs=3, dtype=np.float32)
+        sizes = []
+        for n in (8192, 50_000):
+            net.forward(np.random.default_rng(n).standard_normal((n, 6)), 0.5)
+            sizes.append(sum(buf.nbytes for buf in net._buffers.values()))
+        one_block = _FORWARD_ROWS * ((6 + 6) + 2 * 32 + 6) * 4   # z, two hidden, skip
+        assert sizes[0] == sizes[1] <= one_block
 
     def test_no_activation_blowup_on_training_box(self):
         net = Mlp.create(dim=8, hidden=(32, 32), rng=np.random.default_rng(7))
