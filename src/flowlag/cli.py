@@ -38,10 +38,9 @@ from .interpolant import PATH_KINDS, LinearPath, make_interpolant
 from .nn import load_checkpoint
 from .reporting import read_csv, write_csv, write_manifest
 from .rng import rng_for
-from .schema import REQUIRED, Param, params_of, validated
+from .schema import REQUIRED, Param, finite_float, params_of, validated
 from .solver import (SOLVER_METHODS, ScaleSchedule, SolverSpec, calibrate_s_start, integrate,
                      load_trajectory, parse_schedule, save_trajectory)
-from .svg import write_line_chart
 from .training import TRAIN_CHOICES, TrainConfig, train
 
 EXIT_OK = 0
@@ -112,15 +111,17 @@ def _add_flag(parser, p: Param) -> None:
         parser.add_argument(flag, action="store_true", help=p.help)
         return
 
+    convert = finite_float if p.type is float else p.type
+
     def parse_list(text):
-        values = [p.type(v) for v in text.split(",") if v]
+        values = [convert(v) for v in text.split(",") if v]
         if not values:
             raise ValueError("no values")
         return values
 
     parse_list.__name__ = f"comma-separated {p.type.__name__}"  # argparse errors name it
     value = {"required": True} if p.default is REQUIRED else {"default": p.default}
-    parser.add_argument(flag, type=parse_list if p.many else p.type, choices=p.choices,
+    parser.add_argument(flag, type=parse_list if p.many else convert, choices=p.choices,
                         help=p.help, **value)
 
 
@@ -258,12 +259,6 @@ def _report(out, header, rows, failures=()) -> None:
         raise CheckFailedError("; ".join(failures))
 
 
-def _chart(svg, times, series: dict, title: str, ylabel: str) -> None:
-    if svg is not None:
-        write_line_chart(svg, times, series, title=title, xlabel="t", ylabel=ylabel)
-        print(f"wrote {svg}")
-
-
 # -- experiments ------------------------------------------------------------
 
 
@@ -352,11 +347,7 @@ def _diagnose_norm(params, seed, out) -> int:
         raise ConfigError("grid must look like start:stop:count") from None
     profile = norm_profile(ck.net.forward, interp, dataset, times,
                            n_samples=params["samples"], seed=seed)
-    stderr = profile.std / np.sqrt(params["samples"])
-    rows = list(zip(profile.times, profile.mean, stderr))
-    _report(out, ("t", "value", "stderr"), rows)
-    _chart(params["svg"], profile.times, {"predicted": profile.mean, "target": profile.target_rms},
-           "velocity norm profile", "mean norm")
+    _report(out, *profile.table())
     return EXIT_OK
 
 
@@ -376,8 +367,6 @@ def _diagnose_fld(params, seed, out) -> int:
     floor = split_half_fld(synth)
     rows = [(t, v, floor) for t, v in zip(report.times, report.values)]
     _report(out, ("t", "value", "split_half_floor"), rows)
-    _chart(params["svg"], list(report.times), {"fld": list(report.values)},
-           f"distance to target ({ref_id})", "FLD")
     return EXIT_OK
 
 
@@ -503,7 +492,6 @@ _RECORD_TIMES = Param("checkpoints", float, (0.2, 0.4, 0.6, 0.8, 1.0),
 _DIM = Param("dim", int)
 _DATA_STD = Param("data_std", float, 1.0)
 _N_MC = Param("n_mc", int, 100_000)
-_SVG = Param("svg", str, None)
 
 EXPERIMENTS = {exp.name: exp for exp in (
     Experiment("train", "train a velocity network from a JSON config", _train,
@@ -523,12 +511,12 @@ EXPERIMENTS = {exp.name: exp for exp in (
         _DIM, Param("pairs", int, 50_000), _DATA_STD)),
     Experiment("diagnose-norm", "velocity-norm profile of a checkpoint", _diagnose_norm, (
         _CHECKPOINT, Param("grid", str, "0.05:0.95:19", help="start:stop:count"),
-        Param("samples", int, 4096), _SVG)),
+        Param("samples", int, 4096))),
     Experiment("diagnose-fld", "distance to target at trajectory checkpoints", _diagnose_fld, (
         Param("traj", str),
         Param("reference", str, help="'gaussian:DIM:STD' or a dataset JSON block"),
         Param("reference_samples", int, MIN_REFERENCE_SAMPLES),
-        Param("verify", bool, False, help="check sqrtm reconstructions at runtime"), _SVG)),
+        Param("verify", bool, False, help="check sqrtm reconstructions at runtime"))),
     Experiment("diagnose-lag", "relative improvement between two FLD reports", _diagnose_lag,
                (Param("baseline", str), Param("corrected", str)), seeded=False),
     # calls the module attribute, so a wrapper installed on cli.run_lag_sweep sees each sweep

@@ -121,11 +121,18 @@ class NormProfile:
     mean: np.ndarray        # mean ||v(x_t, t)|| per time
     std: np.ndarray
     target_rms: np.ndarray  # sqrt(E ||v_target||^2) per time
+    n_samples: int
 
     def __post_init__(self):
         if not (np.all(np.diff(self.times) > 0) and np.all(np.isfinite(self.mean))
                 and np.all(self.mean >= 0)):
             raise ValueError("profile grid must be sorted and values finite/nonnegative")
+
+    def table(self):
+        """(header, rows) of the one CSV layout: mean norm, its stderr and target RMS per time."""
+        stderr = self.std / np.sqrt(self.n_samples)
+        return (("t", "value", "stderr", "target_rms"),
+                list(zip(self.times, self.mean, stderr, self.target_rms)))
 
 
 def norm_profile(field, interp, dataset, times, n_samples: int = 4096,
@@ -153,7 +160,7 @@ def norm_profile(field, interp, dataset, times, n_samples: int = 4096,
         v = interp.target_velocity(x0, x1, tt)
         targets.append(np.sqrt(np.einsum("ij,ij->", v, v) / n_samples))
     return NormProfile(times=times, mean=np.array(means), std=np.array(stds),
-                       target_rms=np.array(targets))
+                       target_rms=np.array(targets), n_samples=n_samples)
 
 
 @dataclass(frozen=True)

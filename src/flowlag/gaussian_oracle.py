@@ -229,8 +229,10 @@ class RhoStats:
     max: float
 
 
-def rho_statistics(dim: int, n_pairs: int, data_std: float = 1.0, seed: int = 0,
-                   chunk: int = 4096) -> RhoStats:
+_RHO_CHUNK = 4096  # pairs drawn at once
+
+
+def rho_statistics(dim: int, n_pairs: int, data_std: float = 1.0, seed: int = 0) -> RhoStats:
     """Concentration statistics of rho = 2|<x0,x1>| / (||x0||^2 + ||x1||^2).
 
     Pairs are drawn independently (x0 standard normal, x1 scaled by
@@ -243,15 +245,14 @@ def rho_statistics(dim: int, n_pairs: int, data_std: float = 1.0, seed: int = 0,
     Gamma((D+1)/2) / (sqrt(pi) (D/2) Gamma(D/2)), approximately
     sqrt(2 / (pi D)) at large D.
     """
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
+    GaussianFlowSpec(dim=dim, data_std=data_std)  # refuses a dim below 1 and a data_std <= 0
     if n_pairs < 10_000:
         raise ConfigError(f"n_pairs must be >= 10000, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim]))
     vals = np.empty(n_pairs)
     done = 0
     while done < n_pairs:
-        m = min(chunk, n_pairs - done)
+        m = min(_RHO_CHUNK, n_pairs - done)
         x0 = rng.standard_normal((m, dim))
         x1 = data_std * rng.standard_normal((m, dim))
         num = 2.0 * np.abs(np.einsum("ij,ij->i", x0, x1))

@@ -13,12 +13,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 
 def format_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
+    """A CSV cell; any float, numpy's float32 included, as %.17g of its float64 value."""
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
     return str(v)
 
 

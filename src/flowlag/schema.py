@@ -8,6 +8,7 @@ off the constructor's signature by ``params_of``.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
@@ -43,12 +44,21 @@ def params_of(cls, choices: dict | None = None) -> tuple:
                  for name, p in inspect.signature(cls).parameters.items())
 
 
+def finite_float(text) -> float:
+    """``float(text)``, or ValueError for NaN and ±inf, which JSON and float() accept."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _typed(value, p: Param):
-    """A JSON value as ``p.type``: an integer serves as a float, a boolean only as a bool."""
+    """A JSON value as ``p.type``: an integer serves as a float, a boolean only as
+    a bool, and a float must be finite."""
     if (not isinstance(value, (int, float) if p.type is float else p.type)
             or isinstance(value, bool) is not (p.type is bool)):
         raise TypeError
-    return p.type(value)
+    return finite_float(value) if p.type is float else p.type(value)
 
 
 def validated(what: str, params: tuple, spec) -> dict:
@@ -68,8 +78,9 @@ def validated(what: str, params: tuple, spec) -> dict:
                 if p.many and not isinstance(value, list):
                     raise TypeError
                 value = [_typed(v, p) for v in value] if p.many else _typed(value, p)
-            except TypeError:
-                kind = f"list of {p.type.__name__}" if p.many else p.type.__name__
+            except (TypeError, ValueError):
+                kind = "finite float" if p.type is float else p.type.__name__
+                kind = f"list of {kind}" if p.many else kind
                 raise ConfigError(f"{what} field {p.name!r} must be a {kind}, "
                                   f"got {spec[p.name]!r}") from None
             if p.many and not value:

@@ -56,8 +56,8 @@ class ScaleSchedule:
     def __post_init__(self):
         if self.shape not in SCHEDULE_SHAPES:
             raise ConfigError(f"unknown schedule shape {self.shape!r}; expected one of {SCHEDULE_SHAPES}")
-        if self.s_start < 0.0 or self.s_end < 0.0:
-            raise ConfigError("schedule endpoints must be nonnegative")
+        if not all(0.0 <= s < np.inf for s in (self.s_start, self.s_end)):
+            raise ConfigError(f"schedule endpoints must be finite and nonnegative: {self}")
         if self.shape == "constant-one" and not (self.s_start == self.s_end == 1.0):
             raise ConfigError("constant-one schedule requires s_start = s_end = 1")
 

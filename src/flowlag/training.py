@@ -132,9 +132,11 @@ class TrainConfig:
         for name, allowed in TRAIN_CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        for name in ("batch_size", "steps", "log_every"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("batch_size", "steps", "log_every", "n_time_pairs", "learning_rate"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
         if self.profile_every < 0 or self.lam0 < 0:
             raise ConfigError("profile_every and lam0 must be nonnegative")
         self.hidden = tuple(self.hidden)
@@ -206,8 +208,9 @@ def train(config: TrainConfig, out_dir=None) -> TrainResult:
         if step % config.log_every == 0 or step == config.steps:
             history.append((step, parts.fm_term, parts.magnitude_term, parts.total))
         if out_dir is not None and config.profile_every and step % config.profile_every == 0:
-            _write_norm_profile(out_dir / f"norm_profile_{step}.csv", net, interp,
-                                dataset, config.seed)
+            profile = norm_profile(net.forward, interp, dataset, np.linspace(0.05, 0.95, 19),
+                                   n_samples=2048, seed=config.seed)
+            write_csv(out_dir / f"norm_profile_{step}.csv", *profile.table())
 
     checkpoint_path = None
     if out_dir is not None:
@@ -228,12 +231,3 @@ def _divergence_snapshot(net: Mlp, step: int, parts: LossBreakdown) -> dict:
         }
     return {"step": step, "fm_term": parts.fm_term,
             "magnitude_term": parts.magnitude_term, "parameters": stats}
-
-
-def _write_norm_profile(path: Path, net, interp, dataset, seed: int) -> None:
-    profile = norm_profile(net.forward, interp, dataset, np.linspace(0.05, 0.95, 19),
-                           n_samples=2048, seed=seed)
-    # tolist() turns float32 elements into Python floats, which write_csv writes as %.17g
-    columns = (profile.times, profile.mean, profile.std, profile.target_rms)
-    write_csv(path, ("t", "mean_norm", "std_norm", "target_rms"),
-              zip(*(c.tolist() for c in columns)))

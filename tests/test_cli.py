@@ -15,8 +15,10 @@ import pytest
 import flowlag
 from flowlag import cli
 from flowlag.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_OVERSHOOT, EXIT_RUNTIME, main
+from flowlag.datasets import DATASETS
 from flowlag.errors import CheckFailedError
-from flowlag.reporting import read_csv
+from flowlag.reporting import read_csv, write_csv
+from flowlag.schema import REQUIRED, params_of
 from flowlag.solver import load_trajectory
 
 
@@ -140,17 +142,16 @@ class TestTrainAndSample:
 
 
 class TestDiagnoseCommands:
-    def test_norm_profile_csv_and_svg(self, tiny_run, tmp_path):
+    def test_norm_profile_csv(self, tiny_run, tmp_path):
+        """The profile's one layout, shared with training's norm_profile_<step>.csv."""
         out = tmp_path / "norm.csv"
-        svg = tmp_path / "norm.svg"
         code = run_cli("diagnose", "norm", "--checkpoint", str(tiny_run.checkpoint_path),
-                       "--grid", "0.1:0.9:5", "--samples", "1000",
-                       "--out", str(out), "--svg", str(svg))
+                       "--grid", "0.1:0.9:5", "--samples", "1000", "--out", str(out))
         assert code == EXIT_OK
         header, rows = read_csv(out)
-        assert header == ["t", "value", "stderr"]
+        assert header == ["t", "value", "stderr", "target_rms"]
         assert len(rows) == 5
-        assert svg.read_text().startswith("<svg")
+        assert all(float(row[3]) > 0 for row in rows)
 
     def test_fld_and_lag(self, tiny_run, tmp_path):
         base_traj = tmp_path / "base.bin"
@@ -452,6 +453,19 @@ class TestRunExperiment:
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("experiment", ["diagnose-norm", "diagnose-fld"])
+    def test_svg_spec_key_exits_2(self, tiny_run, fld_inputs, tmp_path, capsys, experiment):
+        """CSV is the only output: a chart path in a spec is an unknown field."""
+        spec = {"diagnose-norm": {"checkpoint": str(tiny_run.checkpoint_path)},
+                "diagnose-fld": {"traj": fld_inputs[0], "reference": "gaussian:4:1.0"}}
+        cfg = tmp_path / "exp.json"
+        out_dir = tmp_path / "never"
+        cfg.write_text(json.dumps({"experiment": experiment, "out_dir": str(out_dir),
+                                   "spec": {**spec[experiment], "svg": "chart.svg"}}))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+        assert "unknown" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("field", ["verify", "name"])
     def test_dropped_envelope_fields_exit_2(self, tmp_path, field):
         cfg = tmp_path / "exp.json"
@@ -536,6 +550,12 @@ class TestRunExperiment:
 @pytest.mark.parametrize("argv", [
     ["oracle", "rho", "--dim", "8", "--pairs", "50"],
     ["oracle", "rho", "--dim", "0", "--pairs", "10000"],
+    ["oracle", "rho", "--dim", "4", "--pairs", "10000", "--data-std", "-2"],
+    ["oracle", "rho", "--dim", "4", "--pairs", "10000", "--data-std", "0"],
+    ["diagnose", "norm", "--checkpoint", "CK", "--svg", "norm.svg"],
+    ["diagnose", "fld", "--traj", "TRAJ", "--reference", "gaussian:4:1.0", "--svg", "fld.svg"],
+    ["sample", "--checkpoint", "CK", "--schedule", "linear:nan:1.0"],
+    ["sample", "--checkpoint", "CK", "--schedule", "linear:1.1:inf"],
     ["diagnose", "norm", "--checkpoint", "CK", "--samples", "500"],
     ["diagnose", "norm", "--checkpoint", "CK", "--grid", "0.5:0.1:3"],
     ["diagnose", "norm", "--checkpoint", "CK", "--grid", "a:b:c"],
@@ -599,6 +619,74 @@ def test_empty_list_in_spec_exits_2(spec, tiny_run, tmp_path):
         "checkpoint": str(tiny_run.checkpoint_path), "particles": 64, **spec}}))
     assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
     assert not out_dir.exists()
+
+
+_PLACEHOLDERS = {int: 2, float: 1.0, str: "x", dict: {"kind": "gaussian", "dim": 2}}
+
+
+def _required(params) -> dict:
+    """A well-typed value for each parameter in ``params`` that has no default."""
+    return {p.name: [_PLACEHOLDERS[p.type]] if p.many else _PLACEHOLDERS[p.type]
+            for p in params if p.default is REQUIRED}
+
+
+# (owner, parameter) for every float parameter: each experiment's, train's (the
+# fields of TrainConfig) and each dataset kind's; one added later is covered too
+_FLOAT_PARAMS = (
+    [(name, p) for name, exp in cli.EXPERIMENTS.items() for p in exp.params if p.type is float]
+    + [(kind, p) for kind, cls in DATASETS.items() for p in params_of(cls) if p.type is float])
+
+
+@pytest.mark.parametrize("door", ["flag", "json"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("owner,param", _FLOAT_PARAMS,
+                         ids=[f"{owner}.{p.name}" for owner, p in _FLOAT_PARAMS])
+def test_non_finite_float_exits_2(owner, param, bad, door, tmp_path, capsys):
+    """NaN and the infinities are refused with exit 2, as a flag and in a JSON spec,
+    before any result is written.  A train config or a dataset block is JSON behind
+    either door: train's one flag is its config file."""
+    value = [float(bad)] if param.many else float(bad)
+    if owner in DATASETS:
+        dataset = {"kind": owner, **_required(params_of(DATASETS[owner])), param.name: value}
+        exp, spec = cli.EXPERIMENTS["train"], {"dataset": dataset}
+    else:
+        exp = cli.EXPERIMENTS[owner]
+        spec = {**_required(exp.params), param.name: value}
+    if exp.name == "train":  # a short run, should the value get through
+        spec.update(steps=1, hidden=[4])
+    out_dir = tmp_path / "out"
+    if door == "json":
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": exp.name, "out_dir": str(out_dir),
+                                   "spec": spec}))
+        argv = ["run", "--config", str(cfg)]
+    elif exp.name == "train":
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(spec))
+        argv = ["train", "--config", str(cfg), "--out", str(out_dir)]
+    else:
+        spec.pop(param.name)
+        argv = [*cli._words(exp.name), *_flag_argv(spec),
+                f"--{param.name.replace('_', '-')}={bad}"]
+        if exp.out is not None:
+            argv += ["--out", str(out_dir if exp.out == "dir" else out_dir / f"r.{exp.out}")]
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse refuses the flag value
+        code = exc.code
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert bad in err and (f"'{param.name}'" in err
+                           or f"--{param.name.replace('_', '-')}" in err), err
+    assert not [p for p in out_dir.rglob("*") if p.suffix != ".json"]
+
+
+def test_write_csv_writes_numpy_floats_as_float64(tmp_path):
+    """A float32 value gets the same 17 significant digits as a Python float."""
+    out = tmp_path / "values.csv"
+    write_csv(out, ("a", "b", "c"), [(np.float32(0.1), np.float64(0.1), 0.1)])
+    assert out.read_text().splitlines()[1] == \
+        "0.10000000149011612,0.10000000000000001,0.10000000000000001"
 
 
 @pytest.fixture(scope="module")

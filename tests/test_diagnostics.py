@@ -1,7 +1,5 @@
 """Moment fitting, matrix square roots, Fréchet distances, lag tracking."""
 
-import xml.etree.ElementTree as ET
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,6 @@ from flowlag.diagnostics import (
 from flowlag.gaussian_oracle import GaussianFlowSpec, OracleField
 from flowlag.interpolant import LinearPath
 from flowlag.solver import SolverSpec, integrate
-from flowlag.svg import write_line_chart
 
 LINEAR = LinearPath()
 
@@ -219,15 +216,3 @@ class TestReferences:
         ref = reference_from_dataset(CheckerboardData(), n_empirical=100)
         assert ref.n_samples >= 8192
         assert ref.dim == 2
-
-
-class TestSvgChart:
-    def test_writes_wellformed_svg(self, tmp_path):
-        path = tmp_path / "chart.svg"
-        x = np.linspace(0, 1, 20)
-        write_line_chart(path, x, {"a": np.sin(x), "b": np.cos(x)},
-                         title="demo", xlabel="t", ylabel="value")
-        root = ET.parse(path).getroot()
-        assert root.tag.endswith("svg")
-        polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
-        assert len(polylines) == 2

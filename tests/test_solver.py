@@ -87,6 +87,11 @@ class TestScaleSchedule:
             ScaleSchedule("exp", 1.1, 1.0)
         with pytest.raises(ConfigError):
             ScaleSchedule("linear", -0.1, 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError):
+                ScaleSchedule("linear", bad, 1.0)
+            with pytest.raises(ConfigError):
+                ScaleSchedule("linear", 1.1, bad)
         with pytest.raises(ConfigError):
             ScaleSchedule("constant-one", 1.1, 1.0)
         with pytest.raises(ValueError):

@@ -233,6 +233,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):  # refused up front, even for fm, which never uses it
             TrainConfig(dataset=base, magnitude_target="norm")
 
+    @pytest.mark.parametrize("bad", [{"hidden": [0]}, {"hidden": [8, -1]}, {"n_time_pairs": 0},
+                                     {"learning_rate": -1.0}, {"learning_rate": 0.0}])
+    def test_out_of_range_fields(self, bad):
+        """A body that is only its bias, an empty time embedding and gradient ascent
+        are refused when the config is built."""
+        with pytest.raises(ConfigError):
+            TrainConfig(dataset={"kind": "gaussian", "dim": 4}, **bad)
+
 
 class TestTrainLoop:
     def _config(self, **kw):
@@ -265,6 +273,9 @@ class TestTrainLoop:
         assert (tmp_path / "norm_profile_40.csv").exists()
         header = (tmp_path / "loss.csv").read_text().splitlines()[0]
         assert header == "step,fm_term,magnitude_term,total"
+        # the layout of 'diagnose norm', which writes the same measurement
+        header = (tmp_path / "norm_profile_20.csv").read_text().splitlines()[0]
+        assert header == "t,value,stderr,target_rms"
         assert res.checkpoint_path == tmp_path / "checkpoint.npz"
 
     def test_mafm_history_has_magnitude_term(self):
