@@ -33,7 +33,7 @@ from .diagnostics import (MIN_REFERENCE_SAMPLES, FldReport, MomentStats, lag_imp
 from .errors import CheckFailedError, ConfigError
 from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample, cross_term_expectation,
                               jensen_gap, marginal_variance, require_n_mc, rho_statistics,
-                              typical_shell_point)
+                              typical_shell_point, velocity_variance)
 from .interpolant import PATH_KINDS, LinearPath, make_interpolant
 from .nn import load_checkpoint
 from .reporting import read_csv, write_csv, write_manifest
@@ -294,7 +294,10 @@ def _oracle_jensen(params, seed, out) -> int:
         x = typical_shell_point(spec, interp, t)
         res = jensen_gap(spec, interp, x, t, params["n_mc"], rng)
         rows.append((t, res.learned_energy, res.target_energy, res.mc_stderr))
-        if not res.is_conclusive:
+        if velocity_variance(spec, interp, t) == 0.0:  # deterministic target: no gap to resolve
+            if not np.isclose(res.learned_energy, res.target_energy, rtol=1e-12, atol=0.0):
+                failures.append(f"t={t}: learned and target energies differ where the gap is 0")
+        elif not res.is_conclusive:
             failures.append(f"t={t}: inconclusive (gap {res.gap:.4g} vs 3*stderr "
                             f"{3 * res.mc_stderr:.4g})")
         elif not res.deficit_confirmed:

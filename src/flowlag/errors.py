@@ -10,10 +10,6 @@ class ConfigError(ValueError):
     """A config file or CLI argument failed validation."""
 
 
-class UnsupportedPathError(ValueError):
-    """An operation was asked to run on a path it is not defined for."""
-
-
 class CheckFailedError(AssertionError):
     """A runtime verification enabled by ``--verify`` did not hold."""
 

@@ -1,17 +1,17 @@
 """Closed-form MSE-optimal velocity field for isotropic Gaussian data.
 
 With x1 ~ N(0, data_std^2 I_D) and x0 ~ N(0, I_D) independently coupled,
-(x0, x1, x_t) is jointly Gaussian, so the conditional mean of the target
-velocity given x_t is available in closed form:
+(x0, x1, x_t) is jointly Gaussian.  Every closed form here reads one law,
+``_law``: x_t ~ N(0, s_t^2 I_D), and given x_t = x the target velocity
+v = d_alpha x1 + d_sigma x0 is Gaussian with
 
-    v*(x, t) = c(t) x,
-    c(t) = (d_alpha * alpha * data_std^2 + d_sigma * sigma) / s_t^2,
-    s_t^2 = alpha^2 * data_std^2 + sigma^2.
+    s_t^2 = alpha^2 data_std^2 + sigma^2,
+    E[v | x] = v*(x, t) = c(t) x,  c(t) = (d_alpha alpha data_std^2 + d_sigma sigma) / s_t^2,
+    E||v - v*||^2 = D data_std^2 (alpha d_sigma - d_alpha sigma)^2 / s_t^2.
 
-This field is the exact minimizer of the velocity-regression objective
-for this data distribution and is the ground-truth instrument behind the
-energy-deficit, cross-term, and lag diagnostics.  Every sampler here
-takes an explicit generator so Monte Carlo shards are reproducible.
+v* is the exact minimizer of the velocity-regression objective; the last
+line, alike for every x, is the kinetic energy it misses.  Every sampler
+here takes an explicit generator so Monte Carlo shards are reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedPathError
+from .errors import ConfigError
 from .interpolant import Interpolant, _bcast, _check_time
 
 
@@ -39,10 +39,15 @@ class GaussianFlowSpec:
             raise ConfigError(f"data_std must be positive, got {self.data_std}")
 
 
+def _law(spec: GaussianFlowSpec, interp: Interpolant, t):
+    """(alpha, sigma, d_alpha, d_sigma, s_t^2) at a scalar or array t."""
+    a, s, da, ds = interp.coefficients(t)
+    return a, s, da, ds, a * a * spec.data_std**2 + s * s
+
+
 def marginal_variance(spec: GaussianFlowSpec, interp: Interpolant, t):
     """Per-coordinate variance s_t^2 of the forward marginal at time t."""
-    a, s, _, _ = interp.coefficients(t)
-    return a * a * spec.data_std**2 + s * s
+    return _law(spec, interp, t)[4]
 
 
 def velocity_coefficient(spec: GaussianFlowSpec, interp: Interpolant, t):
@@ -53,9 +58,19 @@ def velocity_coefficient(spec: GaussianFlowSpec, interp: Interpolant, t):
     is needed: at the boundaries c(0) = d_sigma(0) and c(1) = d_alpha(1)
     hold exactly.
     """
-    a, s, da, ds = interp.coefficients(t)
-    s2 = a * a * spec.data_std**2 + s * s
+    a, s, da, ds, s2 = _law(spec, interp, t)
     return (da * a * spec.data_std**2 + ds * s) / s2
+
+
+def velocity_variance(spec: GaussianFlowSpec, interp: Interpolant, t):
+    """The exact Jensen gap E[||v_target||^2 | x_t] - ||v*(x_t, t)||^2, alike for every x_t.
+
+    D data_std^2 at linear t=0 and D at linear t=1.  On the vp path it
+    grows without bound as t -> 1 (d_sigma ~ 1/sqrt(1-t)), yet is exactly
+    0 at t=1, where d_sigma(1) = 0 makes the target velocity deterministic.
+    """
+    a, s, da, ds, s2 = _law(spec, interp, t)
+    return spec.dim * (spec.data_std**2 / s2) * (a * ds - da * s) ** 2
 
 
 def oracle_velocity(spec: GaussianFlowSpec, interp: Interpolant, x, t):
@@ -67,8 +82,7 @@ def oracle_velocity(spec: GaussianFlowSpec, interp: Interpolant, x, t):
 def conditional_means(spec: GaussianFlowSpec, interp: Interpolant, x, t):
     """(E[x1 | x_t = x], E[x0 | x_t = x]); both are scalar multiples of x."""
     x = _asarray_dim(x, spec.dim)
-    a, s, _, _ = interp.coefficients(t)
-    s2 = a * a * spec.data_std**2 + s * s
+    a, s, _, _, s2 = _law(spec, interp, t)
     e1 = _bcast(a * spec.data_std**2 / s2, x) * x
     e0 = _bcast(s / s2, x) * x
     return e1, e0
@@ -110,11 +124,8 @@ def conditional_pair_sample(spec, interp, x, t, n: int, rng: np.random.Generator
     x = _asarray_dim(x, spec.dim)
     if x.ndim != 1:
         raise ValueError("conditioning state must be a single vector")
-    t = float(_check_time(t))
-    a, s, _, _ = interp.coefficients(t)
-    a, s = float(a), float(s)
+    a, s, _, _, s2 = (float(v) for v in _law(spec, interp, t))
     sd = spec.data_std
-    s2 = a * a * sd * sd + s * s
     sroot = math.sqrt(s2)
     w = rng.standard_normal((n, spec.dim))
     x0 = (s / s2) * x + (a * sd / sroot) * w
@@ -123,40 +134,20 @@ def conditional_pair_sample(spec, interp, x, t, n: int, rng: np.random.Generator
 
 
 def conditional_target_energy(spec, interp, x, t) -> float:
-    """Closed-form E[||v_target||^2 | x_t = x].
-
-    Expands the quadratic in the conditional moments of (x0, x1); used as
-    an independent cross-check of the Monte Carlo estimate.
-    """
-    x = _asarray_dim(x, spec.dim)
-    a, s, da, ds = (float(v) for v in interp.coefficients(t))
-    sd2 = spec.data_std**2
-    s2 = a * a * sd2 + s * s
-    xx = float(x @ x)
-    d = spec.dim
-    # conditional second moments, summed over coordinates
-    m1 = d * (sd2 - a * a * sd2 * sd2 / s2) + (a * sd2 / s2) ** 2 * xx
-    m0 = d * (1.0 - s * s / s2) + (s / s2) ** 2 * xx
-    cross = (a * s * sd2 / s2) * (xx / s2 - d)
-    return da * da * m1 + ds * ds * m0 + 2.0 * da * ds * cross
+    """Closed-form E[||v_target||^2 | x_t = x] = ||v*(x, t)||^2 + velocity_variance."""
+    v = oracle_velocity(spec, interp, x, t)
+    return float(v @ v + velocity_variance(spec, interp, t))
 
 
 def cross_term_expectation(spec: GaussianFlowSpec, interp: Interpolant, x_t, t) -> float:
-    """E[<x0, x1> | x_t] for the linear path.
+    """E[<x0, x1> | x_t] on every path.
 
-    Equals (1-t) t (sd^2 / s_t^2) (||x_t||^2 / s_t^2 - D) and vanishes
+    Equals sigma alpha (sd^2 / s_t^2) (||x_t||^2 / s_t^2 - D) and vanishes
     identically at t in {0, 1} and on the typical shell ||x_t||^2 = D s_t^2.
     """
-    if interp.kind != "linear":
-        raise UnsupportedPathError(
-            f"cross-term closed form is defined for the linear path, not {interp.kind!r}"
-        )
     x_t = _asarray_dim(x_t, spec.dim)
-    t = float(_check_time(t))
-    sd2 = spec.data_std**2
-    s2 = t * t * sd2 + (1.0 - t) ** 2
-    xx = float(x_t @ x_t)
-    return (1.0 - t) * t * (sd2 / s2) * (xx / s2 - spec.dim)
+    a, s, _, _, s2 = _law(spec, interp, t)
+    return float(s * a * (spec.data_std**2 / s2) * (float(x_t @ x_t) / s2 - spec.dim))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ MAFM_SHAPES = tuple(_BUMP_AREA)
 # the values each string field of TrainConfig accepts
 TRAIN_CHOICES = {"path": PATH_KINDS, "loss": ("fm", "mafm"), "mafm_shape": MAFM_SHAPES,
                  "magnitude_target": ("displacement", "path"),
-                 "precision": ("float64", "float32"), "lr_schedule": ("constant", "cosine")}
+                 "precision": ("float64", "float32")}
 
 # keeps the exponential path's d_sigma tail out of training batches
 # (it grows like 1/sqrt(1-t) and its second moment is log-divergent)
@@ -124,7 +124,6 @@ class TrainConfig:
     precision: str = "float64"
     hidden: tuple[int, ...] = (256, 256, 256)
     n_time_pairs: int = 8
-    lr_schedule: str = "constant"   # or "cosine" (decay to lr/100 over the run)
     log_every: int = 100
     profile_every: int = 0
 
@@ -188,12 +187,6 @@ def train(config: TrainConfig, out_dir=None) -> TrainResult:
 
     history = []
     for step in range(1, config.steps + 1):
-        if config.lr_schedule == "cosine":
-            # anneal to lr/100: constant-rate adaptive updates hover around
-            # the optimum at a noise level proportional to lr, which is
-            # visible in the integrated velocity coefficient of the field
-            frac = (step - 1) / max(config.steps - 1, 1)
-            opt.lr = config.learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + np.cos(np.pi * frac)))
         x0, x1, t = sample_batch(dataset, interp, config.batch_size, batch_rng)
         loss, grads, parts = mafm_loss(net, interp, x0, x1, t, lam0=lam0,
                                        shape=config.mafm_shape,

@@ -17,6 +17,7 @@ from flowlag import cli
 from flowlag.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_OVERSHOOT, EXIT_RUNTIME, main
 from flowlag.datasets import DATASETS
 from flowlag.errors import CheckFailedError
+from flowlag.interpolant import PATH_KINDS
 from flowlag.reporting import read_csv, write_csv
 from flowlag.schema import REQUIRED, params_of
 from flowlag.solver import load_trajectory
@@ -62,6 +63,20 @@ class TestOracleCommands:
         code = run_cli("oracle", "jensen", "--dim", "8", "--t", "0.5", "--n-mc", "5000")
         assert code == EXIT_OK
         assert "learned_energy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dim", [4, 64])
+    @pytest.mark.parametrize("path", PATH_KINDS)
+    def test_jensen_boundary_identities(self, path, dim, capsys):
+        """README's boundary-identities row passes on every path, vp's zero gap at t=1 too."""
+        code = run_cli("oracle", "jensen", "--path", path, "--dim", str(dim),
+                       "--t", "0.0,1.0", "--n-mc", "2000")
+        assert code == EXIT_OK, capsys.readouterr().err
+
+    def test_jensen_underpowered_interior_point_exits_3(self, capsys):
+        code = run_cli("oracle", "jensen", "--dim", "4", "--data-std", "100", "--t", "0.9",
+                       "--n-mc", "1000")
+        assert code == EXIT_CHECK
+        assert "inconclusive" in capsys.readouterr().err
 
     def test_cross_term_with_boundaries(self, tmp_path):
         out = tmp_path / "ct.csv"

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from flowlag.errors import UnsupportedPathError
 from flowlag.gaussian_oracle import (
     GaussianFlowSpec,
     JensenGapResult,
@@ -18,6 +17,7 @@ from flowlag.gaussian_oracle import (
     rho_statistics,
     typical_shell_point,
     velocity_coefficient,
+    velocity_variance,
 )
 from flowlag.interpolant import LinearPath, make_interpolant, PATH_KINDS
 
@@ -136,21 +136,32 @@ class TestCrossTerm:
         val = cross_term_expectation(spec, LINEAR, np.ones(4), 0.5)
         np.testing.assert_allclose(val, 2.0, rtol=1e-15)
 
-    def test_nonlinear_path_rejected(self):
-        spec = GaussianFlowSpec(dim=4)
-        with pytest.raises(UnsupportedPathError):
-            cross_term_expectation(spec, make_interpolant("gvp"), np.ones(4), 0.5)
+    def test_linear_path_bitwise_equal_to_its_own_formula(self):
+        """On the linear path the general form is bit for bit the linear one,
+        (1-t) t (sd^2/s^2) (||x||^2/s^2 - D)."""
+        rng = np.random.default_rng(19)
+        for sd in (0.5, 1.0, 2.0, 3.7):
+            spec = GaussianFlowSpec(dim=16, data_std=sd)
+            for t in np.linspace(0.0, 1.0, 103):
+                t = float(t)
+                x = rng.standard_normal(16) * 1.3
+                sd2 = sd**2
+                s2 = t * t * sd2 + (1.0 - t) ** 2
+                want = (1.0 - t) * t * (sd2 / s2) * (float(x @ x) / s2 - 16)
+                assert cross_term_expectation(spec, LINEAR, x, t) == want, (sd, t)
 
+    @pytest.mark.parametrize("kind", PATH_KINDS)
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
-    def test_matches_conditional_monte_carlo(self, t):
-        """Closed form vs <x0, x1> averaged over exact conditional samples."""
+    def test_matches_conditional_monte_carlo(self, t, kind):
+        """Closed form vs <x0, x1> averaged over exact conditional samples, on every path."""
+        interp = make_interpolant(kind)
         spec = GaussianFlowSpec(dim=16)
         rng = np.random.default_rng(23)
         x = rng.standard_normal(16) * 1.2
-        x0, x1 = conditional_pair_sample(spec, LINEAR, x, t, 200_000, rng)
+        x0, x1 = conditional_pair_sample(spec, interp, x, t, 200_000, rng)
         inner = np.einsum("ij,ij->i", x0, x1)
         est, se = inner.mean(), inner.std(ddof=1) / np.sqrt(len(inner))
-        assert abs(est - cross_term_expectation(spec, LINEAR, x, t)) < 3.0 * se
+        assert abs(est - cross_term_expectation(spec, interp, x, t)) < 3.0 * se
 
     def test_population_mean_over_marginal_is_zero(self):
         """E over x_t ~ marginal of the cross-term vanishes at every t."""
@@ -163,6 +174,62 @@ class TestCrossTerm:
             vals = (1 - t) * t * (spec.data_std**2 / s2) * (xx / s2 - 8)
             se = vals.std(ddof=1) / np.sqrt(len(vals))
             assert abs(vals.mean()) < 4.0 * se
+
+
+class TestVelocityVariance:
+    """velocity_variance is the exact E[||v||^2 | x_t] - ||v*||^2."""
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_matches_monte_carlo(self, kind):
+        interp = make_interpolant(kind)
+        spec = GaussianFlowSpec(dim=12, data_std=1.5)
+        rng = np.random.default_rng(59)
+        x = rng.standard_normal(12)
+        n = 100_000
+        for t in (0.0, 0.2, 0.5, 0.8, 0.95):
+            v_star = oracle_velocity(spec, interp, x, t)
+            x0, x1 = conditional_pair_sample(spec, interp, x, t, n, rng)
+            v = interp.target_velocity(x0, x1, np.full(n, t))
+            gaps = np.einsum("ij,ij->i", v, v) - v_star @ v_star
+            se = gaps.std(ddof=1) / np.sqrt(n)
+            assert abs(gaps.mean() - velocity_variance(spec, interp, t)) < 4.0 * se, t
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_same_for_every_state(self, kind):
+        """Given x_t the spread of v around v* does not depend on x_t: the same
+        draws leave the same residuals at the origin and far from it."""
+        interp = make_interpolant(kind)
+        spec = GaussianFlowSpec(dim=8, data_std=0.7)
+        far = 5.0 * np.random.default_rng(61).standard_normal(8)
+        for t in (0.1, 0.5, 0.9):
+            residuals = []
+            for x in (np.zeros(8), far):
+                x0, x1 = conditional_pair_sample(spec, interp, x, t, 1000,
+                                                 np.random.default_rng(67))
+                v = interp.target_velocity(x0, x1, np.full(1000, t))
+                residuals.append(v - oracle_velocity(spec, interp, x, t))
+            np.testing.assert_allclose(residuals[1], residuals[0], rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("data_std", [0.5, 1.0, 2.0, 3.7])
+    def test_linear_boundaries_are_the_missing_terms(self, data_std):
+        """D sd^2 at t=0 (the signal v* cannot see) and D at t=1 (the noise)."""
+        spec = GaussianFlowSpec(dim=16, data_std=data_std)
+        assert velocity_variance(spec, LINEAR, 0.0) == 16 * data_std**2
+        assert velocity_variance(spec, LINEAR, 1.0) == 16
+
+    def test_zero_only_at_the_vp_convention_point(self):
+        """vp's d_sigma(1) = 0 makes the target deterministic at t=1; every other
+        grid point on every path keeps a positive gap."""
+        spec = GaussianFlowSpec(dim=64)
+        grid = np.linspace(0.0, 1.0, 101)
+        for kind in PATH_KINDS:
+            gaps = velocity_variance(spec, make_interpolant(kind), grid)
+            if kind == "vp":
+                assert gaps[-1] == 0.0
+                gaps = gaps[:-1]
+            assert np.all(gaps > 0.0), kind
+        vp = make_interpolant("vp")
+        assert velocity_variance(spec, vp, 0.999) > 1e3  # and unbounded as t -> 1
 
 
 class TestJensenGap:

@@ -304,42 +304,19 @@ class TestIntegrate:
 
 
 def _reference_integrate(field, spec, x0, seed, interp):
-    """Every recorded state of the fresh-array integrator, expression for expression.
+    """Every recorded state of ``_reference_step`` run on the solver's grid and noise stream.
 
-    The steps allocate a new array for every operation, as the solver did
-    before it kept a workspace; ``integrate`` must match it bit for bit.
+    ``integrate`` must match these fresh-array steps bit for bit.
     """
-    def scaled_velocity(x, t):
-        return float(spec.schedule.gamma(t)) * np.asarray(field(x, t))
-
     x = np.array(x0, dtype=np.float64)
     noise_rng = rng_for(seed, "particles:noise")
     grid = np.arange(spec.nfe + 1, dtype=np.float64) / spec.nfe
-    states = [x.copy()]
+    states = [x]
     for k in range(spec.nfe):
-        t, t_next = float(grid[k]), float(grid[k + 1])
-        dt = t_next - t
-        if spec.method == "euler":
-            x = x + scaled_velocity(x, t) * dt
-        elif spec.method == "heun":
-            v1 = scaled_velocity(x, t)
-            x_pred = x + v1 * dt
-            v2 = scaled_velocity(x_pred, t + dt)
-            x = x + 0.5 * dt * (v1 + v2)
-        else:
-            v = scaled_velocity(x, t)
-            w = 0.0 if spec.diffusion == "zero" else float(interp.sigma(t))
-            if w == 0.0:
-                x = x + v * dt
-            else:
-                tc = min(max(t, spec.t_min), 1.0 - spec.t_min)
-                a, s, da, ds = (float(c) for c in interp.coefficients(tc))
-                denom = s * (a * ds - da * s)
-                score = (da * x - a * v) / denom
-                drift = v + 0.5 * w * w * score
-                noise = noise_rng.standard_normal(x.shape)
-                x = x + drift * dt + w * math.sqrt(dt) * noise
-        states.append(x.copy())
+        t = float(grid[k])
+        x = _reference_step(spec.method, field, spec.schedule, x, t, float(grid[k + 1]) - t,
+                            noise_rng, spec.diffusion, interp, spec.t_min)
+        states.append(x)
     return states
 
 

@@ -223,8 +223,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(dataset=base, loss="mse")
         with pytest.raises(ConfigError):
-            TrainConfig(dataset=base, lr_schedule="step")
-        with pytest.raises(ConfigError):
             TrainConfig(dataset=base, steps=0)
         with pytest.raises(ConfigError):
             TrainConfig(dataset=base, path="spline")
@@ -281,10 +279,6 @@ class TestTrainLoop:
     def test_mafm_history_has_magnitude_term(self):
         res = train(self._config(loss="mafm", steps=30, log_every=10))
         assert any(row[2] > 0.0 for row in res.history)
-
-    def test_cosine_lr_schedule_anneals(self):
-        res = train(self._config(steps=50, lr_schedule="cosine"))
-        assert res.optimizer.lr == pytest.approx(0.01 * res.config.learning_rate)
 
     def test_divergence_aborts_with_snapshot(self, tmp_path):
         cfg = self._config(steps=50, learning_rate=1e30, precision="float32")
