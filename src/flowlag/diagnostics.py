@@ -55,23 +55,19 @@ def gaussian_reference(dim: int, std: float = 1.0) -> MomentStats:
     return MomentStats(mean=np.zeros(dim), cov=std**2 * np.eye(dim), n_samples=0)
 
 
-MIN_REFERENCE_SAMPLES = 8192  # the fewest draws an empirical reference is fit on
+MIN_REFERENCE_SAMPLES = 8192  # the draws an empirical reference is fit on
 
 
-def reference_from_dataset(dataset, n_empirical: int = MIN_REFERENCE_SAMPLES,
-                           seed: int = 0) -> MomentStats:
-    """Analytic moments when the dataset has them, else an empirical fit.
-
-    Empirical references accumulate at least MIN_REFERENCE_SAMPLES samples
-    so the covariance estimate is stable at the dimensions used here.
-    """
+def reference_from_dataset(dataset, seed: int = 0) -> MomentStats:
+    """Analytic moments when the dataset has them, else a fit on exactly
+    MIN_REFERENCE_SAMPLES draws at ``seed``, stable at the dimensions used here."""
     moments = dataset.moments()
     if moments is not None:
         mean, cov = moments
         return MomentStats(mean=np.asarray(mean, dtype=np.float64),
                            cov=np.asarray(cov, dtype=np.float64), n_samples=0)
-    n = max(int(n_empirical), MIN_REFERENCE_SAMPLES)
-    return MomentStats.from_samples(dataset.sample(n, rng_for(seed, "fld:reference")))
+    return MomentStats.from_samples(
+        dataset.sample(MIN_REFERENCE_SAMPLES, rng_for(seed, "fld:reference")))
 
 
 def sqrtm_psd(m: np.ndarray, verify: bool = False) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .interpolant import Interpolant, _bcast, _check_time
+from .interpolant import Interpolant, _bcast
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,6 @@ class OracleField:
 
     def __call__(self, x, t):
         return oracle_velocity(self.spec, self.interp, x, t)
-
-    def __repr__(self):
-        return f"OracleField(dim={self.spec.dim}, data_std={self.spec.data_std}, path={self.interp.kind})"
 
 
 def _asarray_dim(x, dim: int):
@@ -189,9 +186,8 @@ def jensen_gap(spec, interp, x, t, n_mc: int, rng: np.random.Generator) -> Jense
     the comparison is conclusive rather than silently passing.
     """
     require_n_mc(n_mc)
-    x = _asarray_dim(x, spec.dim)
-    t = float(_check_time(t))
-    v_star = oracle_velocity(spec, interp, x, t)
+    x, t = _asarray_dim(x, spec.dim), float(t)
+    v_star = oracle_velocity(spec, interp, x, t)   # interp.coefficients checks t
     learned = float(v_star @ v_star)
     x0, x1 = conditional_pair_sample(spec, interp, x, t, n_mc, rng)
     v = interp.target_velocity(x0, x1, np.full(n_mc, t))

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # variance-preserving exponential profile, beta_max - beta_min and beta_min
 VP_A = 19.9
 VP_B = 0.1
@@ -24,8 +26,9 @@ _VP_E0 = float(np.exp(-0.25 * VP_A - 0.5 * VP_B))  # the raw profile at t=0
 
 def _check_time(t):
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError(f"time must lie in [0, 1], got {t!r}")
+    inside = (t >= 0.0) & (t <= 1.0)   # NaN is outside
+    if not inside.all():
+        raise ConfigError(f"t must lie in [0, 1], got {t[~inside].tolist()}")
     return t
 
 

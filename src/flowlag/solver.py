@@ -169,10 +169,10 @@ def scaled_velocity(field, schedule: ScaleSchedule, x, t: float):
     """
     v = np.asarray(field(x, t))
     if not np.all(np.isfinite(v)):
+        n_bad, x_max = int(np.size(v) - np.count_nonzero(np.isfinite(v))), float(np.max(np.abs(x)))
         raise NonFiniteVelocityError(
-            f"velocity field returned non-finite values at t={t}", t=float(t),
-            state_summary={"x_max_abs": float(np.max(np.abs(x))),
-                           "n_bad": int(np.size(v) - np.count_nonzero(np.isfinite(v)))})
+            f"velocity field returned {n_bad} non-finite values at t={t} (max |x| {x_max:.6g})",
+            t=float(t), state_summary={"x_max_abs": x_max, "n_bad": n_bad})
     gamma = float(schedule.gamma(t))
     return v if gamma == 1.0 else v * gamma
 
@@ -308,12 +308,20 @@ _TRAJ_VERSION = 1
 _TRAJ_HEADER = struct.Struct("<8sIIII")   # magic, version, dim, particles, nodes
 
 
+def _check_node_times(path, times) -> None:
+    """Refuse node times that are NaN, outside [0, 1] or decreasing; repeats are legal."""
+    t = np.asarray(times, dtype=np.float64)
+    if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.diff(t) >= 0.0)):
+        raise ValueError(f"trajectory {path}: node times {t.tolist()} not sorted within [0, 1]")
+
+
 def save_trajectory(path, traj: Trajectory) -> None:
     """Write the versioned binary container (little-endian, float32 states)."""
     n_particles, dim = np.shape(traj.states[0])
     if (len(traj.states) != len(traj.node_times)
             or any(np.shape(batch) != (n_particles, dim) for batch in traj.states)):
         raise ValueError("need one batch per node time, all of one shape")
+    _check_node_times(path, traj.node_times)
     with open(path, "wb") as fh:
         fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, _TRAJ_VERSION, dim, n_particles, len(traj.states)))
         fh.write(np.asarray(traj.node_times, dtype="<f8").tobytes())
@@ -340,5 +348,6 @@ def load_trajectory(path) -> Trajectory:
             raise ValueError(f"trajectory {path} is {size} bytes; its header's {n_nodes} nodes "
                              f"of {n_particles}x{dim} need {expected}, and every count >= 1")
         times = np.frombuffer(fh.read(8 * n_nodes), dtype="<f8")
+        _check_node_times(path, times)
         states = np.frombuffer(fh.read(size - fh.tell()), dtype="<f4")   # sized: one buffer
     return Trajectory(tuple(times.tolist()), list(states.reshape(n_nodes, n_particles, dim)))

@@ -42,10 +42,6 @@ class LossBreakdown:
     fm_term: float
     magnitude_term: float = 0.0
 
-    @property
-    def total(self) -> float:
-        return self.fm_term + self.magnitude_term
-
 
 def mafm_weight(t, shape: str = "linear", lam0: float = 0.2):
     """Decaying penalty weight; every shape integrates to lam0 / 2.
@@ -199,7 +195,7 @@ def train(config: TrainConfig, out_dir=None) -> TrainResult:
                                         step=step, snapshot=snapshot)
         opt.step(net.parameters(), grads)
         if step % config.log_every == 0 or step == config.steps:
-            history.append((step, parts.fm_term, parts.magnitude_term, parts.total))
+            history.append((step, parts.fm_term, parts.magnitude_term, loss))
         if out_dir is not None and config.profile_every and step % config.profile_every == 0:
             profile = norm_profile(net.forward, interp, dataset, np.linspace(0.05, 0.95, 19),
                                    n_samples=2048, seed=config.seed)
@@ -222,5 +218,4 @@ def _divergence_snapshot(net: Mlp, step: int, parts: LossBreakdown) -> dict:
             "finite": bool(np.all(np.isfinite(p))),
             "max_abs": float(np.max(np.abs(p[np.isfinite(p)])) if np.any(np.isfinite(p)) else np.nan),
         }
-    return {"step": step, "fm_term": parts.fm_term,
-            "magnitude_term": parts.magnitude_term, "parameters": stats}
+    return {"step": step, **asdict(parts), "parameters": stats}

@@ -263,7 +263,7 @@ class TestDiagnoseCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("fault", ["trailing bytes", "zero nodes", "non-finite states",
-                                       "infinite states"])
+                                       "infinite states", "decreasing node times"])
     def test_fld_of_a_malformed_trajectory_exits_4(self, fld_inputs, tmp_path, capsys, fault):
         """A file that does not match its header is an IO fault naming the file; a
         non-finite state is a numerical fault naming its node time, with no warning first."""
@@ -272,6 +272,8 @@ class TestDiagnoseCommands:
             data += data[24 + 40:]
         elif fault == "zero nodes":
             data = data[:20] + bytes(4)
+        elif fault == "decreasing node times":
+            data[24:32] = np.float64(0.7).tobytes()   # 0.7 before 0.4
         else:
             at = 24 + 40 + 2 * 64 * 4 * 4   # the first value at t = 0.6
             data[at:at + 4] = np.float32(np.inf if fault == "infinite states" else np.nan).tobytes()
@@ -304,6 +306,24 @@ class TestDiagnoseCommands:
         assert run_cli("diagnose", "lag", "--baseline", str(two), "--corrected", str(two)) \
             == EXIT_CONFIG
         assert run_cli(*lag) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("samples,code", [(8192, EXIT_OK), (20000, EXIT_CONFIG)])
+    def test_lag_reads_manifests_that_record_a_draw_count(self, fld_inputs, tmp_path, samples,
+                                                          code):
+        """A manifest written while the draw count was a parameter resolves when it
+        records 8192, every reference's count now, and is refused otherwise."""
+        reports = []
+        for csv in fld_inputs[1]:
+            copy = tmp_path / Path(csv).name
+            copy.write_bytes(Path(csv).read_bytes())
+            manifest = json.loads(Path(f"{csv}.json").read_text())
+            manifest["config"]["reference_samples"] = samples
+            Path(f"{copy}.json").write_text(json.dumps(manifest))
+            reports.append(str(copy))
+        out = tmp_path / "lag.csv"
+        assert run_cli("diagnose", "lag", "--baseline", reports[0], "--corrected", reports[1],
+                       "--out", str(out)) == code
+        assert out.exists() is (code == EXIT_OK)
 
     def test_lag_refuses_reports_on_different_checkpoint_times(self, tiny_run, fld_inputs,
                                                               tmp_path, capsys):
@@ -468,6 +488,38 @@ class TestRunExperiment:
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("door", ["flag", "run", "train"])
+    def test_negative_seed_exits_2_without_manifest(self, tmp_path, capsys, door):
+        """Flags, run's envelope and train's config file all refuse a negative seed
+        before the manifest is written."""
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        if door == "flag":
+            argv = ["oracle", "rho", "--dim", "4", "--pairs", "10000", "--seed", "-1",
+                    "--out", str(out / "oracle-rho.csv")]
+        elif door == "run":
+            cfg.write_text(json.dumps({"experiment": "oracle-rho", "out_dir": str(out),
+                                       "seed": -2, "spec": {"dim": 4, "pairs": 10000}}))
+            argv = ["run", "--config", str(cfg)]
+        else:
+            cfg.write_text(json.dumps({"dataset": {"kind": "gaussian", "dim": 4}, "steps": 5,
+                                       "seed": -3}))
+            argv = ["train", "--config", str(cfg), "--out", str(out)]
+        assert run_cli(*argv) == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reference_samples_spec_key_exits_2(self, fld_inputs, tmp_path, capsys):
+        """An empirical reference is fit on 8192 draws only: the count is no parameter."""
+        cfg = tmp_path / "exp.json"
+        out_dir = tmp_path / "never"
+        cfg.write_text(json.dumps({"experiment": "diagnose-fld", "out_dir": str(out_dir),
+                                   "spec": {"traj": fld_inputs[0], "reference": "gaussian:4:1.0",
+                                            "reference_samples": 8192}}))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+        assert "unknown" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("experiment", ["diagnose-norm", "diagnose-fld"])
     def test_svg_spec_key_exits_2(self, tiny_run, fld_inputs, tmp_path, capsys, experiment):
         """CSV is the only output: a chart path in a spec is an unknown field."""
@@ -594,6 +646,7 @@ class TestRunExperiment:
     ["sample", "--checkpoint", "CK", "--particles", "1"],
     ["sample", "--checkpoint", "CK", "--particles", "-3"],
     ["lag-sweep", "--checkpoint", "CK", "--particles", "1"],
+    ["oracle", "rho", "--dim", "4", "--pairs", "10000", "--seed", "-1"],
 ])
 def test_argument_problems_exit_2(argv, tiny_run, fld_inputs, tmp_path):
     """An argument the experiment refuses exits 2, whether argparse or the

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flowlag.errors import ConfigError
 from flowlag.interpolant import GvpPath, LinearPath, VpPath, make_interpolant, PATH_KINDS
 
 ALL_PATHS = [make_interpolant(k) for k in PATH_KINDS]
@@ -219,5 +220,13 @@ class TestTimeCheckedOnce:
                                                      "coefficients")]
         calls += [lambda t: interp.sample_xt(x, x, t), lambda t: interp.target_velocity(x, x, t)]
         for call in calls:
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):   # a ValueError, exit 2 on the command line
                 call(t)
+
+    @pytest.mark.parametrize("t,named", [(1.5, "[1.5]"), (np.nan, "[nan]"),
+                                         (np.array([0.2, -0.1, 0.7]), "[-0.1]")])
+    def test_the_refusal_names_the_bad_times(self, t, named):
+        for kind in PATH_KINDS:
+            with pytest.raises(ConfigError, match=r"t must lie in \[0, 1\]") as exc:
+                make_interpolant(kind).coefficients(t)
+            assert str(exc.value).endswith(f"got {named}")

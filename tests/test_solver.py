@@ -129,6 +129,7 @@ class TestScaledVelocity:
             scaled_velocity(bad, IDENTITY_SCHEDULE, np.ones((2, 2)), 0.25)
         assert exc.value.t == 0.25
         assert exc.value.state_summary["n_bad"] == 4
+        assert "returned 4 non-finite values at t=0.25 (max |x| 1)" in str(exc.value)
 
 
 class TestSteps:
@@ -644,6 +645,31 @@ class TestTrajectoryContainer:
                          + bytes(8 * k + 4 * k * n * dim))
         with pytest.raises(ValueError, match=str(path)):
             load_trajectory(path)
+
+    @pytest.mark.parametrize("times", [(np.nan, 1.0), (-3.0, 1.0), (1.0, 0.5), (0.5, 7.0)],
+                             ids=["nan", "negative", "decreasing", "above-1"])
+    def test_impossible_node_times_rejected(self, tmp_path, times):
+        """Node times must be finite, non-decreasing and within [0, 1], on save and on load."""
+        path = tmp_path / "traj.bin"
+        states = self._example().states
+        with pytest.raises(ValueError, match=str(path)):
+            save_trajectory(path, Trajectory(times, states))
+        assert not path.exists()
+        save_trajectory(path, Trajectory((0.5, 1.0), states))
+        data = bytearray(path.read_bytes())
+        data[24:40] = np.array(times, dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=str(path)):
+            load_trajectory(path)
+
+    def test_checkpoints_snapped_to_one_node_roundtrip(self, tmp_path):
+        """Two requested times may snap to one node: a repeated node time is legal."""
+        traj = integrate(OracleField(GaussianFlowSpec(dim=3), LINEAR),
+                         SolverSpec(method="euler", nfe=10, checkpoints=(0.95, 1.0)),
+                         dim=3, n_particles=17, seed=2)
+        assert traj.node_times == (1.0, 1.0)
+        save_trajectory(tmp_path / "traj.bin", traj)
+        assert load_trajectory(tmp_path / "traj.bin").node_times == (1.0, 1.0)
 
     def test_inconsistent_batches_rejected(self, tmp_path):
         times, states = self._example()
