@@ -16,8 +16,10 @@ checkpoint times snap to the nearest grid node (at most dt/2 away).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,8 +127,8 @@ class SolverSpec:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {SOLVER_METHODS}")
         if self.nfe < 1:
             raise ConfigError("nfe must be >= 1")
-        cps = tuple(float(c) for c in self.checkpoints)
-        if not cps or any(c < 0.0 or c > 1.0 for c in cps) or list(cps) != sorted(cps):
+        cps = tuple(float(_check_time(c)) for c in self.checkpoints)
+        if not cps or list(cps) != sorted(cps):
             raise ConfigError("checkpoints must be sorted times within [0, 1]")
         object.__setattr__(self, "checkpoints", cps)
         if self.diffusion not in ("sigma", "zero"):
@@ -244,10 +246,11 @@ def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt
 
 
 class Trajectory(NamedTuple):
-    """What one integration recorded at its nodes, or batches read back from a file."""
+    """What one integration recorded at its nodes, or a loaded file's node
+    batches, read one at a time when used (see ``TrajectoryFile``)."""
 
     node_times: tuple   # grid times recorded (<= dt/2 from the requested ones)
-    states: list        # one record(x) per node: by default an (n_particles, dim) batch
+    states: Sequence    # one record(x) per node: by default an (n_particles, dim) batch
 
 
 def integrate(field, spec: SolverSpec, dim: int, n_particles: int, seed: int = 0,
@@ -329,12 +332,49 @@ def save_trajectory(path, traj: Trajectory) -> None:
             fh.write(np.ascontiguousarray(batch, dtype="<f4").tobytes())
 
 
+def _stamp(st) -> tuple:
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+class TrajectoryFile(Sequence):
+    """The node batches of a loaded trajectory file, each read from disk when indexed.
+
+    Memory holds only the batches a caller keeps.  Every read refuses, with
+    ValueError, a file whose size, modification time or inode has changed
+    since it was loaded."""
+
+    def __init__(self, path, stamp: tuple, offset: int, n_nodes: int, shape: tuple):
+        self._path, self._stamp, self._offset = path, stamp, offset
+        self._n_nodes, self._shape = n_nodes, shape
+
+    def __len__(self) -> int:
+        return self._n_nodes
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if not -self._n_nodes <= i < self._n_nodes:
+            raise IndexError(f"node {i} of a {self._n_nodes}-node trajectory")
+        return self.node(i % self._n_nodes)
+
+    def node(self, i: int) -> np.ndarray:
+        """Node i's (n_particles, dim) float32 batch, with one open, seek and read."""
+        nbytes = 4 * self._shape[0] * self._shape[1]
+        with open(self._path, "rb") as fh:
+            fh.seek(self._offset + i * nbytes)
+            data = fh.read(nbytes)
+            if _stamp(os.fstat(fh.fileno())) != self._stamp or len(data) != nbytes:
+                raise ValueError(f"trajectory {self._path} changed since it was loaded")
+        return np.frombuffer(data, dtype="<f4").reshape(self._shape)
+
+
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory container; its states are float32 batches.  The file
-    must hold exactly the nodes its header counts, at least one, and no byte more."""
+    """Read a trajectory container's header and node times; its states are a
+    ``TrajectoryFile`` of float32 batches.  The file must hold exactly the
+    nodes its header counts, at least one, and no byte more."""
     with open(path, "rb") as fh:
         header = fh.read(_TRAJ_HEADER.size)
-        size = os.fstat(fh.fileno()).st_size
+        stamp = _stamp(os.fstat(fh.fileno()))
+        size = stamp[0]
         if header[:8] != _TRAJ_MAGIC:
             raise ValueError(f"not a trajectory file: bad magic {header[:8]!r}")
         if len(header) < _TRAJ_HEADER.size:
@@ -349,5 +389,5 @@ def load_trajectory(path) -> Trajectory:
                              f"of {n_particles}x{dim} need {expected}, and every count >= 1")
         times = np.frombuffer(fh.read(8 * n_nodes), dtype="<f8")
         _check_node_times(path, times)
-        states = np.frombuffer(fh.read(size - fh.tell()), dtype="<f4")   # sized: one buffer
-    return Trajectory(tuple(times.tolist()), list(states.reshape(n_nodes, n_particles, dim)))
+        return Trajectory(tuple(times.tolist()), TrajectoryFile(
+            os.path.abspath(path), stamp, fh.tell(), n_nodes, (n_particles, dim)))

@@ -1,6 +1,7 @@
 """Shared fixtures: small trained checkpoints reused across test modules."""
 
 import json
+import os
 
 import pytest
 
@@ -26,3 +27,21 @@ def tiny_config_file(tmp_path_factory):
         "log_every": 50, "seed": 7,
     }))
     return path
+
+
+@pytest.fixture
+def change_file():
+    """change(path, how): truncate it by 4 bytes, append 4 bytes, or replace it with
+    a byte-equal copy (same size, another inode)."""
+    def change(path, how):
+        if how == "truncated":
+            os.truncate(path, os.path.getsize(path) - 4)
+        elif how == "appended":
+            with open(path, "ab") as fh:
+                fh.write(bytes(4))
+        else:
+            copy = f"{path}.copy"
+            with open(path, "rb") as src, open(copy, "wb") as dst:
+                dst.write(src.read())
+            os.replace(copy, path)
+    return change

@@ -287,6 +287,23 @@ class TestDiagnoseCommands:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("how", ["truncated", "appended", "replaced"])
+    def test_fld_of_a_trajectory_changed_while_read_exits_4(self, fld_inputs, tmp_path, capsys,
+                                                             monkeypatch, change_file, how):
+        traj, out = tmp_path / "traj.bin", tmp_path / "fld.csv"
+        traj.write_bytes(Path(fld_inputs[0]).read_bytes())
+
+        def load_then_change(path):
+            loaded = load_trajectory(path)
+            change_file(path, how)
+            return loaded
+
+        monkeypatch.setattr(cli, "load_trajectory", load_then_change)
+        assert run_cli("diagnose", "fld", "--traj", str(traj), "--reference", "gaussian:4:1.0",
+                       "--out", str(out)) == EXIT_RUNTIME
+        assert f"{traj} changed since it was loaded" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lag_refuses_reports_against_different_references(self, tiny_run, tmp_path, capsys):
         traj = tmp_path / "traj.bin"
         run_cli("sample", "--checkpoint", str(tiny_run.checkpoint_path), "--nfe", "10",

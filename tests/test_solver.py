@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowlag.diagnostics import MomentStats
+from flowlag.diagnostics import MomentStats, gaussian_reference, track_fld
 from flowlag.errors import ConfigError, NonFiniteVelocityError
 from flowlag.gaussian_oracle import GaussianFlowSpec, OracleField
 from flowlag.interpolant import LinearPath, make_interpolant
@@ -300,6 +300,9 @@ class TestIntegrate:
             SolverSpec(checkpoints=(0.8, 0.2))
         with pytest.raises(ConfigError):
             SolverSpec(checkpoints=(0.5, 1.5))
+        for nan in ((0.5, math.nan), (math.nan,)):
+            with pytest.raises(ConfigError, match=r"\[nan\]"):
+                SolverSpec(checkpoints=nan)
         with pytest.raises(ConfigError):
             SolverSpec(diffusion="full")
 
@@ -676,3 +679,52 @@ class TestTrajectoryContainer:
         for bad in (Trajectory(times, [states[0], states[1][1:]]), Trajectory(times, states[:1])):
             with pytest.raises(ValueError, match="one batch per node time"):
                 save_trajectory(tmp_path / "traj.bin", bad)
+
+    def test_nodes_read_when_indexed(self, tmp_path):
+        """A loaded file's states are its float32 batches, read by index, negative
+        indices too; an index past either end raises IndexError."""
+        traj = self._example()
+        path = tmp_path / "traj.bin"
+        save_trajectory(path, traj)
+        states = load_trajectory(path).states
+        for i in (0, 1, -1, -2):
+            want = np.ascontiguousarray(traj.states[i], dtype="<f4")
+            assert states[i].dtype == want.dtype and states[i].shape == want.shape
+            assert states[i].tobytes() == want.tobytes()
+        for i in (2, -3):
+            with pytest.raises(IndexError):
+                states[i]
+
+    def test_save_of_a_loaded_trajectory_is_byte_identical(self, tmp_path):
+        save_trajectory(tmp_path / "a.bin", self._example())
+        save_trajectory(tmp_path / "b.bin", load_trajectory(tmp_path / "a.bin"))
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    @pytest.mark.parametrize("how", ["truncated", "appended", "replaced"])
+    def test_file_changed_after_load_refused(self, tmp_path, change_file, how):
+        """Each node read checks the file's size, modification time and inode."""
+        path = tmp_path / "traj.bin"
+        save_trajectory(path, self._example())
+        states = load_trajectory(path).states
+        assert states[1].shape == (17, 3)
+        change_file(path, how)
+        with pytest.raises(ValueError, match=f"{path} changed since it was loaded"):
+            states[0]
+
+    def test_fld_of_a_loaded_file_holds_one_node(self, tmp_path):
+        """Scoring a 10-node 8192x64 file holds one float32 node and the two float64
+        batches of its moments at a time, not the 20 MB file."""
+        n, dim = 8192, 64
+        batch = np.random.default_rng(3).standard_normal((n, dim), dtype=np.float32)
+        path = tmp_path / "traj.bin"
+        save_trajectory(path, Trajectory(tuple(k / 10 for k in range(1, 11)), [batch] * 10))
+        reference = gaussian_reference(dim)
+        track_fld(load_trajectory(path), reference)
+        tracemalloc.start()
+        try:
+            track_fld(load_trajectory(path), reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = batch.nbytes + 2 * n * dim * 8 + (1 << 20)
+        assert peak <= budget, (peak / 2**20, budget / 2**20)
