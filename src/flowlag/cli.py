@@ -39,8 +39,9 @@ from .nn import load_checkpoint
 from .reporting import read_csv, write_csv, write_manifest
 from .rng import rng_for
 from .schema import REQUIRED, Param, finite_float, params_of, validated
-from .solver import (SOLVER_METHODS, ScaleSchedule, SolverSpec, calibrate_s_start, integrate,
-                     load_trajectory, parse_schedule, save_trajectory)
+from .solver import (IDENTITY_SCHEDULE, SOLVER_METHODS, ScaleSchedule, SolverSpec,
+                     calibrate_s_start, integrate, load_trajectory, parse_schedule,
+                     save_trajectory)
 from .training import TRAIN_CHOICES, TrainConfig, train
 
 EXIT_OK = 0
@@ -350,7 +351,7 @@ def _diagnose_norm(params, seed, out) -> int:
 def _diagnose_fld(params, seed, out) -> int:
     traj = load_trajectory(params["traj"])
     reference, ref_id = _reference(params["reference"], seed)
-    n, dim = traj.states[0].shape
+    n, dim = traj.states.shape
     if dim != reference.dim:
         raise ConfigError(f"trajectory {params['traj']} has dimension {dim}, "
                           f"but the reference {ref_id} has dimension {reference.dim}")
@@ -417,10 +418,13 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
                           f"distance is taken; got {checkpoints}")
     injected = [(f"linear:{s:g}:1.0", ScaleSchedule("linear", s, 1.0))
                 for s in params["s_start"] if s != 1.0]
-    schedules = [("baseline", ScaleSchedule("linear", 1.0, 1.0)), *injected,
-                 ("linear:1.0:1.1", ScaleSchedule("linear", 1.0, 1.1)),
-                 ("linear:1.05:1.05", ScaleSchedule("linear", 1.05, 1.05))]
-    table = [(params["floor_nfe"], "floor", ScaleSchedule("linear", 1.0, 1.0))]
+    labels = [label for label, _ in injected]
+    shared = [(label, sched.s_start) for label, sched in injected if labels.count(label) > 1]
+    if shared:
+        raise ConfigError(f"s_start values give the same row label: {shared}")
+    schedules = [("baseline", IDENTITY_SCHEDULE), *injected,
+                 *((c, parse_schedule(c)) for c in ("linear:1.0:1.1", "linear:1.05:1.05"))]
+    table = [(params["floor_nfe"], "floor", IDENTITY_SCHEDULE)]
     table += [(nfe, label, schedule) for nfe in params["nfe"] for label, schedule in schedules]
     cells = [(label, SolverSpec(method=params["method"], nfe=nfe, schedule=schedule,
                                 checkpoints=checkpoints)) for nfe, label, schedule in table]

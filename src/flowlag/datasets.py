@@ -23,8 +23,8 @@ class GaussianData:
     def __init__(self, dim: int, std: float = 1.0):
         if dim < 1:
             raise ConfigError(f"gaussian dim must be >= 1, got {dim}")
-        if not std > 0:
-            raise ConfigError(f"gaussian std must be positive, got {std}")
+        if not 0 < std < np.inf:
+            raise ConfigError(f"gaussian std must be positive and finite, got {std}")
         self.dim = int(dim)
         self.std = float(std)
 

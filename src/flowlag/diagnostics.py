@@ -168,8 +168,8 @@ class FldReport:
     reference_id: str
 
     def __post_init__(self):
-        if len(self.times) != self.values.size or np.any(self.values < 0):
-            raise ValueError("one nonnegative distance per checkpoint required")
+        if len(self.times) != self.values.size or not all(0 <= v < np.inf for v in self.values):
+            raise ValueError("one finite nonnegative distance per checkpoint required")
 
     @property
     def terminal(self) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import GaussianData
 from .errors import ConfigError
 from .interpolant import Interpolant, _bcast
 
@@ -33,10 +34,7 @@ class GaussianFlowSpec:
     data_std: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if not self.data_std > 0.0:
-            raise ConfigError(f"data_std must be positive, got {self.data_std}")
+        GaussianData(self.dim, self.data_std)   # refuses a dim below 1, a std outside (0, inf)
 
 
 def _law(spec: GaussianFlowSpec, interp: Interpolant, t):
@@ -232,7 +230,7 @@ def rho_statistics(dim: int, n_pairs: int, data_std: float = 1.0, seed: int = 0)
     Gamma((D+1)/2) / (sqrt(pi) (D/2) Gamma(D/2)), approximately
     sqrt(2 / (pi D)) at large D.
     """
-    GaussianFlowSpec(dim=dim, data_std=data_std)  # refuses a dim below 1 and a data_std <= 0
+    GaussianFlowSpec(dim=dim, data_std=data_std)  # refuses a dim below 1 and a bad data_std
     if n_pairs < 10_000:
         raise ConfigError(f"n_pairs must be >= 10000, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim]))

@@ -29,15 +29,15 @@ from .errors import ConfigError, NonFiniteVelocityError
 from .interpolant import Interpolant, _check_time
 from .rng import rng_for
 
-SCHEDULE_SHAPES = ("linear", "cosine", "quad-in", "quad-out", "constant-one")
 SOLVER_METHODS = ("euler", "heun", "euler-maruyama")
 
 # integral over [0,1] of each shape's decay bump (1 at t=0, 0 at t=1)
 _BUMP_AREA = {"linear": 0.5, "cosine": 0.5, "quad-in": 2.0 / 3.0, "quad-out": 1.0 / 3.0}
+SCHEDULE_SHAPES = tuple(_BUMP_AREA)   # the decay shapes of the corrector and of MAFM's weight
 
 
 def _bump(shape: str, t):
-    """The decay bump of ``shape`` (a key of _BUMP_AREA) at times ``t``."""
+    """The decay bump of ``shape`` (one of SCHEDULE_SHAPES) at times ``t``."""
     if shape == "linear":
         return 1.0 - t
     if shape == "cosine":
@@ -60,15 +60,11 @@ class ScaleSchedule:
             raise ConfigError(f"unknown schedule shape {self.shape!r}; expected one of {SCHEDULE_SHAPES}")
         if not all(0.0 <= s < np.inf for s in (self.s_start, self.s_end)):
             raise ConfigError(f"schedule endpoints must be finite and nonnegative: {self}")
-        if self.shape == "constant-one" and not (self.s_start == self.s_end == 1.0):
-            raise ConfigError("constant-one schedule requires s_start = s_end = 1")
 
     def gamma(self, t):
-        """Multiplier at time t; exact at the endpoints and exactly 1
-        everywhere when the endpoints are both 1."""
+        """Multiplier at time t, exact at the endpoints.  Equal endpoints give exactly
+        s_end everywhere: every bump is finite and >= 0 on [0, 1] (cos(pi) is -1)."""
         t = _check_time(t)
-        if self.shape == "constant-one" or self.s_start == self.s_end:
-            return np.full_like(t, self.s_start) if t.ndim else np.float64(self.s_start)
         val = self.s_end + (self.s_start - self.s_end) * _bump(self.shape, t)
         # pin endpoint values exactly (the affine form can be off by 1 ulp)
         val = np.where(t == 0.0, self.s_start, np.where(t == 1.0, self.s_end, val))
@@ -76,20 +72,18 @@ class ScaleSchedule:
 
     def area(self) -> float:
         """Closed-form integral of gamma over [0, 1]."""
-        if self.shape == "constant-one":
-            return 1.0
         return self.s_end + (self.s_start - self.s_end) * _BUMP_AREA[self.shape]
 
     def describe(self) -> str:
         return f"{self.shape}:{self.s_start:g}:{self.s_end:g}"
 
 
-IDENTITY_SCHEDULE = ScaleSchedule(shape="constant-one", s_start=1.0, s_end=1.0)
+IDENTITY_SCHEDULE = ScaleSchedule()   # linear 1 -> 1; 'constant-one' is its name
 
 
 def calibrate_s_start(shape: str, s_end: float, target_area: float) -> float:
     """s_start giving the requested integral of gamma, closed form per shape."""
-    if shape not in _BUMP_AREA:
+    if shape not in SCHEDULE_SHAPES:
         raise ConfigError(f"cannot calibrate shape {shape!r}")
     s_start = s_end + (target_area - s_end) / _BUMP_AREA[shape]
     if s_start < 0.0:
@@ -345,7 +339,7 @@ class TrajectoryFile(Sequence):
 
     def __init__(self, path, stamp: tuple, offset: int, n_nodes: int, shape: tuple):
         self._path, self._stamp, self._offset = path, stamp, offset
-        self._n_nodes, self._shape = n_nodes, shape
+        self._n_nodes, self.shape = n_nodes, shape   # shape: each node's (n_particles, dim)
 
     def __len__(self) -> int:
         return self._n_nodes
@@ -358,13 +352,13 @@ class TrajectoryFile(Sequence):
 
     def node(self, i: int) -> np.ndarray:
         """Node i's (n_particles, dim) float32 batch, with one open, seek and read."""
-        nbytes = 4 * self._shape[0] * self._shape[1]
+        nbytes = 4 * self.shape[0] * self.shape[1]
         with open(self._path, "rb") as fh:
             fh.seek(self._offset + i * nbytes)
             data = fh.read(nbytes)
             if _stamp(os.fstat(fh.fileno())) != self._stamp or len(data) != nbytes:
                 raise ValueError(f"trajectory {self._path} changed since it was loaded")
-        return np.frombuffer(data, dtype="<f4").reshape(self._shape)
+        return np.frombuffer(data, dtype="<f4").reshape(self.shape)
 
 
 def load_trajectory(path) -> Trajectory:

@@ -24,9 +24,8 @@ from .interpolant import PATH_KINDS, _check_time, make_interpolant
 from .nn import Adam, Mlp, save_checkpoint
 from .reporting import write_csv
 from .rng import rng_for
-from .solver import _BUMP_AREA, _bump
+from .solver import _BUMP_AREA, SCHEDULE_SHAPES as MAFM_SHAPES, _bump
 
-MAFM_SHAPES = tuple(_BUMP_AREA)
 # the values each string field of TrainConfig accepts
 TRAIN_CHOICES = {"path": PATH_KINDS, "loss": ("fm", "mafm"), "mafm_shape": MAFM_SHAPES,
                  "magnitude_target": ("displacement", "path"),
@@ -52,7 +51,7 @@ def mafm_weight(t, shape: str = "linear", lam0: float = 0.2):
     """
     if lam0 < 0:
         raise ValueError(f"lam0 must be nonnegative, got {lam0}")
-    if shape not in _BUMP_AREA:
+    if shape not in MAFM_SHAPES:
         raise ValueError(f"unknown weight shape {shape!r}; expected one of {MAFM_SHAPES}")
     return lam0 * (0.5 / _BUMP_AREA[shape]) * _bump(shape, _check_time(t))
 

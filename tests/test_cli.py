@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import flowlag
-from flowlag import cli
+from flowlag import cli, solver
 from flowlag.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_OVERSHOOT, EXIT_RUNTIME, main
 from flowlag.datasets import DATASETS
 from flowlag.errors import CheckFailedError
@@ -342,6 +343,36 @@ class TestDiagnoseCommands:
                        "--out", str(out)) == code
         assert out.exists() is (code == EXIT_OK)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_lag_of_a_report_with_a_non_finite_distance_exits_4(self, fld_inputs, tmp_path,
+                                                                capsys, bad):
+        """A report holding a non-finite distance is a malformed input file."""
+        reports = []
+        for csv in fld_inputs[1]:
+            copy = tmp_path / Path(csv).name
+            copy.write_bytes(Path(csv).read_bytes())
+            Path(f"{copy}.json").write_bytes(Path(f"{csv}.json").read_bytes())
+            reports.append(copy)
+        lines = reports[1].read_text().splitlines()
+        t, _, floor = lines[2].split(",")   # the second checkpoint's row
+        lines[2] = ",".join((t, bad, floor))
+        reports[1].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "lag.csv"
+        assert run_cli("diagnose", "lag", "--baseline", str(reports[0]),
+                       "--corrected", str(reports[1]), "--out", str(out)) == EXIT_RUNTIME
+        assert "finite nonnegative distance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fld_reads_each_node_once(self, fld_inputs, tmp_path, monkeypatch):
+        """The trajectory's shape comes from its header; each node batch is read once."""
+        reads = []
+        node = solver.TrajectoryFile.node
+        monkeypatch.setattr(solver.TrajectoryFile, "node",
+                            lambda self, i: reads.append(i) or node(self, i))
+        assert run_cli("diagnose", "fld", "--traj", fld_inputs[0], "--reference",
+                       "gaussian:4:1.0", "--out", str(tmp_path / "fld.csv")) == EXIT_OK
+        assert sorted(reads) == list(range(len(load_trajectory(fld_inputs[0]).node_times)))
+
     def test_lag_refuses_reports_on_different_checkpoint_times(self, tiny_run, fld_inputs,
                                                               tmp_path, capsys):
         traj, csv = tmp_path / "half.bin", tmp_path / "half.csv"
@@ -398,6 +429,19 @@ class TestLagSweep:
         assert terminal["linear:0.8:1.0"] < terminal["baseline"] < terminal["linear:1.2:1.0"]
         assert "CAVEAT" in (out / "summary.txt").read_text()
 
+    def test_s_start_values_sharing_a_label_exit_2(self, tiny_run, tmp_path, monkeypatch,
+                                                   capsys):
+        """Two rows may not share a label, so a repeated value is refused before any cell
+        is integrated, and the message names the values."""
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "sweep"
+        assert run_cli("lag-sweep", "--checkpoint", str(tiny_run.checkpoint_path),
+                       "--s-start", "1.05,1.2,1.2", "--out", str(out)) == EXIT_CONFIG
+        assert calls == []
+        assert not (out / "lag_sweep.csv").exists()
+        err = capsys.readouterr().err
+        assert "('linear:1.2:1.0', 1.2), ('linear:1.2:1.0', 1.2)" in err and "1.05" not in err
 
     def test_memory_does_not_grow_with_checkpoints(self, tiny_run, tmp_path):
         """The sweep keeps each node's moments, not its batch: twice the checkpoints
@@ -664,6 +708,7 @@ class TestRunExperiment:
     ["sample", "--checkpoint", "CK", "--particles", "-3"],
     ["lag-sweep", "--checkpoint", "CK", "--particles", "1"],
     ["oracle", "rho", "--dim", "4", "--pairs", "10000", "--seed", "-1"],
+    ["lag-sweep", "--checkpoint", "CK", "--s-start", "1.1,1.1000001", "--particles", "64"],
 ])
 def test_argument_problems_exit_2(argv, tiny_run, fld_inputs, tmp_path):
     """An argument the experiment refuses exits 2, whether argparse or the
@@ -878,9 +923,11 @@ class TestFlagsMatchRun:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # the child imports the same flowlag as this process, installed or not
+        env = {**os.environ, "PYTHONPATH": str(Path(flowlag.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "flowlag.cli",
                                "schedule-calibrate", "--shape", "cosine", "--area", "1.05"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "s_start = 1.1" in proc.stdout
 

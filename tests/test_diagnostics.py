@@ -177,8 +177,9 @@ class TestTrackFld:
     def test_report_invariants(self):
         with pytest.raises(ValueError):
             FldReport(times=(0.5, 1.0), values=np.array([1.0]), reference_id="x")
-        with pytest.raises(ValueError):
-            FldReport(times=(1.0,), values=np.array([-0.1]), reference_id="x")
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                FldReport(times=(0.5, 1.0), values=np.array([0.2, bad]), reference_id="x")
 
 
 class TestLagImprovement:

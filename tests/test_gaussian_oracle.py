@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from flowlag.datasets import GaussianData
+from flowlag.errors import ConfigError
 from flowlag.gaussian_oracle import (
     GaussianFlowSpec,
     JensenGapResult,
@@ -352,3 +354,15 @@ class TestOracleField:
             GaussianFlowSpec(dim=0)
         with pytest.raises(ValueError):
             GaussianFlowSpec(dim=4, data_std=0.0)
+
+    @pytest.mark.parametrize("std", [np.inf, np.nan])
+    def test_non_finite_std_refused(self, std):
+        """GaussianData owns the target's rules; the oracle spec checks through it."""
+        with pytest.raises(ConfigError):
+            GaussianFlowSpec(dim=4, data_std=std)
+        with pytest.raises(ConfigError):
+            GaussianData(4, std)
+
+    def test_rho_statistics_refuses_dim_zero(self):
+        with pytest.raises(ConfigError):
+            rho_statistics(0, 10_000)

@@ -17,6 +17,7 @@ from flowlag.rng import rng_for
 from flowlag.solver import (
     _BLOCK_ROWS,
     IDENTITY_SCHEDULE,
+    SCHEDULE_SHAPES,
     ScaleSchedule,
     SolverSpec,
     Trajectory,
@@ -45,12 +46,17 @@ class TestScaleSchedule:
         assert float(s.gamma(0.0)) == 1.17
         assert float(s.gamma(1.0)) == 0.93
 
-    @pytest.mark.parametrize("shape", ["linear", "cosine", "quad-in", "quad-out", "constant-one"])
+    @pytest.mark.parametrize("shape", ["linear", "cosine", "quad-in", "quad-out"])
     def test_equal_endpoints_give_exactly_one(self, shape):
-        kw = {"s_start": 1.0, "s_end": 1.0}
-        s = ScaleSchedule(shape, **kw)
+        """Equal endpoints s give exactly s at every t, scalar or array: the one
+        formula serves the identity (s = 1) and every constant scale."""
         t = np.linspace(0.0, 1.0, 1001)
-        assert np.all(s.gamma(t) == 1.0)
+        for value in (0.0, 0.5, 1.0, 1.05, 3.0):
+            s = ScaleSchedule(shape, value, value)
+            g = s.gamma(t)
+            assert g.dtype == np.float64 and np.all(g == value)
+            for scalar in (0.0, 0.3, 1.0):
+                assert type(s.gamma(scalar)) is np.float64 and s.gamma(scalar) == value
 
     @pytest.mark.parametrize("shape", ["linear", "cosine", "quad-in", "quad-out"])
     def test_continuous(self, shape):
@@ -96,6 +102,16 @@ class TestScaleSchedule:
             ScaleSchedule("constant-one", 1.1, 1.0)
         with pytest.raises(ValueError):
             ScaleSchedule("linear", 1.1, 1.0).gamma(1.5)
+
+    def test_constant_one_is_a_name_not_a_shape(self):
+        """'constant-one' names linear 1 -> 1; as a shape it is unknown, and the
+        message lists the four decay shapes."""
+        assert parse_schedule("constant-one") == parse_schedule("linear:1.0:1.0") \
+            == ScaleSchedule() == IDENTITY_SCHEDULE
+        with pytest.raises(ConfigError) as err:
+            ScaleSchedule("constant-one", 1.0, 1.0)
+        assert all(shape in str(err.value) for shape in SCHEDULE_SHAPES)
+        assert SCHEDULE_SHAPES == ("linear", "cosine", "quad-in", "quad-out")
 
     def test_parse_schedule(self):
         s = parse_schedule("linear:1.1:1.0")

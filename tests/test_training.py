@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from flowlag import solver, training
 from flowlag.errors import ConfigError, TrainingDivergedError
 from flowlag.interpolant import LinearPath, make_interpolant
 from flowlag.nn import Mlp
@@ -52,6 +53,9 @@ class TestMafmWeight:
         t = np.linspace(0, 1, 101)
         for shape in ("linear", "cosine", "quad-in", "quad-out"):
             assert np.all(mafm_weight(t, shape, 0.2) >= 0.0)
+
+    def test_shapes_are_the_schedule_shapes(self):
+        assert training.MAFM_SHAPES is solver.SCHEDULE_SHAPES
 
     def test_errors(self):
         with pytest.raises(ValueError):
