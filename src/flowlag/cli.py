@@ -27,9 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .datasets import make_dataset
-from .diagnostics import (MIN_REFERENCE_SAMPLES, FldReport, MomentStats, lag_improvement,
-                          node_fld, norm_profile, reference_from_dataset, split_half_fld,
-                          track_fld)
+from .diagnostics import (REFERENCE_SAMPLES, FldReport, MomentStats, lag_improvement, node_fld,
+                          norm_profile, reference_from_dataset, split_half_fld, track_fld)
 from .errors import CheckFailedError, ConfigError
 from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample, cross_term_expectation,
                               jensen_gap, marginal_variance, require_n_mc, rho_statistics,
@@ -218,8 +217,8 @@ def _load_net(path):
 
 
 def _reference(spec, seed: int):
-    """(moments, kind id) of the target ``spec``: a dataset block, its JSON text,
-    or 'gaussian:DIM:STD'.  A dataset without analytic moments is fit on draws."""
+    """(moments, id) of the target ``spec``, a dataset block, its JSON text or 'gaussian:DIM:STD'
+    (fit on draws if not analytic).  The id ends in 16 hex digits of sha256(mean + cov bytes)."""
     if isinstance(spec, str) and spec.startswith("gaussian:"):
         try:
             _, dim, std = spec.split(":")
@@ -233,7 +232,8 @@ def _reference(spec, seed: int):
     dataset = make_dataset(spec)
     ref = reference_from_dataset(dataset, seed=seed)
     kind = "analytic" if ref.n_samples == 0 else f"empirical:{ref.n_samples}"
-    return ref, f"{dataset.kind}:{kind}"
+    digest = hashlib.sha256(ref.mean.tobytes() + ref.cov.tobytes()).hexdigest()[:16]
+    return ref, f"{dataset.kind}:{kind}:{digest}"
 
 
 def _at_least(params: dict, name: str, floor: int) -> int:
@@ -366,39 +366,35 @@ def _diagnose_fld(params, seed, out) -> int:
     return EXIT_OK
 
 
-def _fld_reference_id(report) -> str | None:
-    """A 'diagnose fld' report's reference, resolved from its manifest: its kind and a hash
-    of its mean and covariance; None if unreadable or recording a draw count other than 8192."""
+def _fld_report(path) -> FldReport:
+    """The 'diagnose fld' report at ``path``, against the reference its manifest <path>.json
+    resolves; ConfigError if that is missing, unreadable or not a current 'diagnose fld' one."""
     try:
-        manifest = json.loads(Path(f"{report}.json").read_text())
+        manifest = json.loads(Path(f"{path}.json").read_text())
         config = manifest["config"]
         if manifest["experiment"] != "diagnose-fld" or config.get(
-                "reference_samples", MIN_REFERENCE_SAMPLES) != MIN_REFERENCE_SAMPLES:
-            return None
-        ref, kind = _reference(config["reference"], manifest["seed"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ConfigError):
-        return None
-    return f"{kind}:{hashlib.sha256(ref.mean.tobytes() + ref.cov.tobytes()).hexdigest()[:16]}"
+                "reference_samples", REFERENCE_SAMPLES) != REFERENCE_SAMPLES:
+            raise ValueError(f"not a 'diagnose fld' manifest of {REFERENCE_SAMPLES} draws")
+        _, reference_id = _reference(config["reference"], manifest["seed"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path} needs the 'diagnose fld' manifest {path}.json, "
+                          f"resolving its reference: {type(exc).__name__}: {exc}") from None
+    _, rows = read_csv(path)
+    try:
+        return FldReport(times=tuple(float(r[0]) for r in rows),
+                         values=np.array([float(r[1]) for r in rows]), reference_id=reference_id)
+    except ValueError as exc:   # a malformed file: exit 4, naming it
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _diagnose_lag(params, seed, out) -> int:
     paths = (params["baseline"], params["corrected"])
-    refs = [_fld_reference_id(path) for path in paths]
-    if None in refs or refs[0] != refs[1]:
-        raise ConfigError(
-            f"{paths[0]} and {paths[1]} must carry the same reference in their "
-            f"'diagnose fld' manifests ({paths[0]}.json, {paths[1]}.json); "
-            f"found {refs[0]!r} and {refs[1]!r}")
-    reports = []
-    for path in paths:
-        _, rows = read_csv(path)
-        reports.append(FldReport(times=tuple(float(r[0]) for r in rows),
-                                 values=np.array([float(r[1]) for r in rows]),
-                                 reference_id=refs[0]))
-    if reports[0].times != reports[1].times:
-        raise ConfigError(f"{paths[0]} and {paths[1]} must use the same checkpoint times; "
-                          f"found {reports[0].times} and {reports[1].times}")
-    deltas = lag_improvement(*reports)
+    reports = [_fld_report(path) for path in paths]
+    try:
+        deltas = lag_improvement(*reports)
+    except ValueError as exc:
+        raise ConfigError(f"cannot compare {paths[0]} and {paths[1]} (by their manifests "
+                          f"{paths[0]}.json and {paths[1]}.json): {exc}") from None
     _report(out, ("t", "value"), list(zip(reports[0].times, deltas)))
     return EXIT_OK
 
@@ -422,6 +418,8 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     shared = [(label, sched.s_start) for label, sched in injected if labels.count(label) > 1]
     if shared:
         raise ConfigError(f"s_start values give the same row label: {shared}")
+    if len(set(params["nfe"])) < len(params["nfe"]):
+        raise ConfigError(f"nfe values repeat: {params['nfe']}")
     schedules = [("baseline", IDENTITY_SCHEDULE), *injected,
                  *((c, parse_schedule(c)) for c in ("linear:1.0:1.1", "linear:1.05:1.05"))]
     table = [(params["floor_nfe"], "floor", IDENTITY_SCHEDULE)]

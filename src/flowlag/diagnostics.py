@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .datasets import GaussianData
 from .errors import CheckFailedError, ConfigError
 from .rng import rng_for
-from .solver import Trajectory
+from .solver import Trajectory, _check_node_times
 
 
 @dataclass(frozen=True)
@@ -52,22 +53,22 @@ class MomentStats:
 
 def gaussian_reference(dim: int, std: float = 1.0) -> MomentStats:
     """Analytic moments of an isotropic Gaussian target."""
-    return MomentStats(mean=np.zeros(dim), cov=std**2 * np.eye(dim), n_samples=0)
+    return reference_from_dataset(GaussianData(dim, std))
 
 
-MIN_REFERENCE_SAMPLES = 8192  # the draws an empirical reference is fit on
+REFERENCE_SAMPLES = 8192  # the draws an empirical reference is fit on
 
 
 def reference_from_dataset(dataset, seed: int = 0) -> MomentStats:
     """Analytic moments when the dataset has them, else a fit on exactly
-    MIN_REFERENCE_SAMPLES draws at ``seed``, stable at the dimensions used here."""
+    REFERENCE_SAMPLES draws at ``seed``, stable at the dimensions used here."""
     moments = dataset.moments()
     if moments is not None:
         mean, cov = moments
         return MomentStats(mean=np.asarray(mean, dtype=np.float64),
                            cov=np.asarray(cov, dtype=np.float64), n_samples=0)
     return MomentStats.from_samples(
-        dataset.sample(MIN_REFERENCE_SAMPLES, rng_for(seed, "fld:reference")))
+        dataset.sample(REFERENCE_SAMPLES, rng_for(seed, "fld:reference")))
 
 
 def sqrtm_psd(m: np.ndarray, verify: bool = False) -> np.ndarray:
@@ -161,15 +162,16 @@ def norm_profile(field, interp, dataset, times, n_samples: int = 4096,
 
 @dataclass(frozen=True)
 class FldReport:
-    """Distance to the target distribution at each recorded checkpoint."""
+    """Distance to the target distribution at each of one or more node times."""
 
     times: tuple
     values: np.ndarray
     reference_id: str
 
     def __post_init__(self):
-        if len(self.times) != self.values.size or not all(0 <= v < np.inf for v in self.values):
-            raise ValueError("one finite nonnegative distance per checkpoint required")
+        if not 0 < len(self.times) == self.values.size == sum(0 <= v < np.inf for v in self.values):
+            raise ValueError("need one or more checkpoints, one finite nonnegative distance each")
+        _check_node_times("FLD report", self.times)
 
     @property
     def terminal(self) -> float:
@@ -206,11 +208,11 @@ def track_fld(traj: Trajectory, reference: MomentStats,
 
 
 def lag_improvement(baseline: FldReport, corrected: FldReport) -> np.ndarray:
-    """Per-checkpoint relative reduction (baseline - corrected) / baseline."""
+    """Per-checkpoint relative reduction (baseline - corrected) / baseline of matching reports."""
     if baseline.times != corrected.times:
-        raise ValueError("reports use different checkpoint grids")
+        raise ValueError(f"checkpoint times differ: {baseline.times}, {corrected.times}")
     if baseline.reference_id != corrected.reference_id:
-        raise ValueError("reports use different references")
+        raise ValueError(f"references differ: {baseline.reference_id}, {corrected.reference_id}")
     b, c = baseline.values, corrected.values
     return np.where(b != 0.0, (b - c) / np.where(b != 0.0, b, 1.0), 0.0)
 

@@ -11,7 +11,7 @@ class ConfigError(ValueError):
 
 
 class CheckFailedError(AssertionError):
-    """A runtime verification enabled by ``--verify`` did not hold."""
+    """A runtime check failed: --verify, an oracle Monte Carlo check or --require-lag-ratio."""
 
 
 class NonFiniteVelocityError(FloatingPointError):

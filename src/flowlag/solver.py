@@ -305,11 +305,11 @@ _TRAJ_VERSION = 1
 _TRAJ_HEADER = struct.Struct("<8sIIII")   # magic, version, dim, particles, nodes
 
 
-def _check_node_times(path, times) -> None:
-    """Refuse node times that are NaN, outside [0, 1] or decreasing; repeats are legal."""
+def _check_node_times(what: str, times) -> None:
+    """Refuse ``what``'s node times if NaN, outside [0, 1] or decreasing; repeats are legal."""
     t = np.asarray(times, dtype=np.float64)
     if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.diff(t) >= 0.0)):
-        raise ValueError(f"trajectory {path}: node times {t.tolist()} not sorted within [0, 1]")
+        raise ValueError(f"{what}: node times {t.tolist()} not sorted within [0, 1]")
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
@@ -318,7 +318,7 @@ def save_trajectory(path, traj: Trajectory) -> None:
     if (len(traj.states) != len(traj.node_times)
             or any(np.shape(batch) != (n_particles, dim) for batch in traj.states)):
         raise ValueError("need one batch per node time, all of one shape")
-    _check_node_times(path, traj.node_times)
+    _check_node_times(f"trajectory {path}", traj.node_times)
     with open(path, "wb") as fh:
         fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, _TRAJ_VERSION, dim, n_particles, len(traj.states)))
         fh.write(np.asarray(traj.node_times, dtype="<f8").tobytes())
@@ -382,6 +382,6 @@ def load_trajectory(path) -> Trajectory:
             raise ValueError(f"trajectory {path} is {size} bytes; its header's {n_nodes} nodes "
                              f"of {n_particles}x{dim} need {expected}, and every count >= 1")
         times = np.frombuffer(fh.read(8 * n_nodes), dtype="<f8")
-        _check_node_times(path, times)
+        _check_node_times(f"trajectory {path}", times)
         return Trajectory(tuple(times.tolist()), TrajectoryFile(
             os.path.abspath(path), stamp, fh.tell(), n_nodes, (n_particles, dim)))

@@ -127,12 +127,12 @@ class TrainConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name in ("batch_size", "steps", "log_every", "n_time_pairs", "learning_rate"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        if self.profile_every < 0 or self.lam0 < 0:
-            raise ConfigError("profile_every and lam0 must be nonnegative")
+        if not (self.profile_every >= 0 and 0 <= self.lam0 < np.inf):
+            raise ConfigError("profile_every must be nonnegative and lam0 finite and nonnegative")
         self.hidden = tuple(self.hidden)
 
     def to_dict(self) -> dict:

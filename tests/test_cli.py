@@ -363,6 +363,34 @@ class TestDiagnoseCommands:
         assert "finite nonnegative distance" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["nan", "decreasing", "above-one", "no-rows"])
+    def test_lag_of_a_report_with_malformed_times_exits_4(self, fld_inputs, tmp_path, capsys,
+                                                          fault):
+        """A report's times obey the node-time rule of a trajectory file, and a report
+        holds at least one checkpoint: anything else is a malformed input file, refused
+        as the baseline, as the corrected report and against itself."""
+        report = tmp_path / "fld.csv"
+        Path(f"{report}.json").write_bytes(Path(f"{fld_inputs[1][0]}.json").read_bytes())
+        lines = Path(fld_inputs[1][0]).read_text().splitlines()   # header, then 5 rows
+        if fault == "no-rows":
+            lines = lines[:1]
+        else:
+            row = 2 if fault in ("nan", "decreasing") else 5   # the second or last row
+            t = {"nan": "nan", "decreasing": "0.9", "above-one": "1.5"}[fault]
+            lines[row] = ",".join((t, *lines[row].split(",")[1:]))
+        report.write_text("\n".join(lines) + "\n")
+        good = fld_inputs[1][1]
+        for pair in ((report, good), (good, report), (report, report)):
+            out = tmp_path / "lag.csv"
+            capsys.readouterr()
+            assert run_cli("diagnose", "lag", "--baseline", str(pair[0]),
+                           "--corrected", str(pair[1]), "--out", str(out)) == EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert f"{report}: " in err
+            assert ("one or more checkpoints" if fault == "no-rows"
+                    else "FLD report: node times") in err
+            assert not out.exists()
+
     def test_fld_reads_each_node_once(self, fld_inputs, tmp_path, monkeypatch):
         """The trajectory's shape comes from its header; each node batch is read once."""
         reads = []
@@ -466,11 +494,12 @@ class TestLagSweep:
         assert grown < n * dim * 8, grown / (n * dim * 8)
 
     @pytest.mark.parametrize("bad", [["--nfe", "0"], ["--floor-nfe", "0"],
-                                     ["--checkpoints", "0.2,0.4"]])
+                                     ["--checkpoints", "0.2,0.4"], ["--nfe", "10,10"]])
     def test_invalid_cell_exits_2_before_any_integration(self, tiny_run, tmp_path, monkeypatch,
                                                           capsys, bad):
         """Every cell is checked before the first is integrated, and the terminal
-        distance is taken at t = 1, so the checkpoints must end there."""
+        distance is taken at t = 1, so the checkpoints must end there; a repeated step
+        budget would write each of its rows twice."""
         calls = []
         monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "sweep"

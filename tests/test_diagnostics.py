@@ -180,6 +180,10 @@ class TestTrackFld:
         for bad in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError):
                 FldReport(times=(0.5, 1.0), values=np.array([0.2, bad]), reference_id="x")
+        # malformed times, as trajectory files refuse them, and a report of no checkpoint
+        for times in ((np.nan, 1.0), (0.9, 0.5), (0.5, 1.5), ()):
+            with pytest.raises(ValueError):
+                FldReport(times=times, values=np.full(len(times), 0.2), reference_id="x")
 
 
 class TestLagImprovement:

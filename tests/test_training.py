@@ -236,10 +236,12 @@ class TestTrainConfig:
             TrainConfig(dataset=base, magnitude_target="norm")
 
     @pytest.mark.parametrize("bad", [{"hidden": [0]}, {"hidden": [8, -1]}, {"n_time_pairs": 0},
-                                     {"learning_rate": -1.0}, {"learning_rate": 0.0}])
+                                     {"learning_rate": -1.0}, {"learning_rate": 0.0},
+                                     {"lam0": np.nan}, {"lam0": np.inf},
+                                     {"learning_rate": np.inf}])
     def test_out_of_range_fields(self, bad):
-        """A body that is only its bias, an empty time embedding and gradient ascent
-        are refused when the config is built."""
+        """A body that is only its bias, an empty time embedding, gradient ascent and
+        non-finite rates are refused when the config is built."""
         with pytest.raises(ConfigError):
             TrainConfig(dataset={"kind": "gaussian", "dim": 4}, **bad)
 
