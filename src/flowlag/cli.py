@@ -355,7 +355,7 @@ def _diagnose_fld(params, seed, out) -> int:
     if dim != reference.dim:
         raise ConfigError(f"trajectory {params['traj']} has dimension {dim}, "
                           f"but the reference {ref_id} has dimension {reference.dim}")
-    report = track_fld(traj, reference, reference_id=ref_id, verify=params["verify"])
+    report = track_fld(traj, reference, reference_id=ref_id)
     # noise floor from a same-size synthetic draw against itself
     rng = rng_for(seed, "fld:floor")
     chol = np.linalg.cholesky(reference.cov + 1e-12 * np.eye(reference.dim))
@@ -381,6 +381,8 @@ def _fld_report(path) -> FldReport:
                           f"resolving its reference: {type(exc).__name__}: {exc}") from None
     _, rows = read_csv(path)
     try:
+        if any(len(r) < 2 for r in rows):
+            raise ValueError("a row has no distance column")
         return FldReport(times=tuple(float(r[0]) for r in rows),
                          values=np.array([float(r[1]) for r in rows]), reference_id=reference_id)
     except ValueError as exc:   # a malformed file: exit 4, naming it
@@ -511,8 +513,7 @@ EXPERIMENTS = {exp.name: exp for exp in (
         Param("samples", int, 4096))),
     Experiment("diagnose-fld", "distance to target at trajectory checkpoints", _diagnose_fld, (
         Param("traj", str),
-        Param("reference", str, help="'gaussian:DIM:STD' or a dataset JSON block"),
-        Param("verify", bool, False, help="check sqrtm reconstructions at runtime"))),
+        Param("reference", str, help="'gaussian:DIM:STD' or a dataset JSON block"))),
     Experiment("diagnose-lag", "relative improvement between two FLD reports", _diagnose_lag,
                (Param("baseline", str), Param("corrected", str)), seeded=False),
     # calls the module attribute, so a wrapper installed on cli.run_lag_sweep sees each sweep

@@ -71,12 +71,12 @@ def reference_from_dataset(dataset, seed: int = 0) -> MomentStats:
         dataset.sample(REFERENCE_SAMPLES, rng_for(seed, "fld:reference")))
 
 
-def sqrtm_psd(m: np.ndarray, verify: bool = False) -> np.ndarray:
+def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues in [-1e-8, 0) are treated as rounding noise and clipped;
-    anything more negative (or an asymmetric input) is an error.  With
-    ``verify`` the reconstruction S @ S = m is checked to 1e-8 ||m||.
+    anything more negative (or an asymmetric input) is an error.  The
+    reconstruction S @ S = m is checked to 1e-8 ||m||: CheckFailedError if not.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -89,22 +89,21 @@ def sqrtm_psd(m: np.ndarray, verify: bool = False) -> np.ndarray:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():g}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     root = 0.5 * (root + root.T)
-    if verify:
-        err = np.linalg.norm(root @ root - m)
-        bound = 1e-8 * max(np.linalg.norm(m), 1e-300)
-        if err > bound:
-            raise CheckFailedError(f"sqrtm reconstruction error {err:g} exceeds {bound:g}")
+    err = np.linalg.norm(root @ root - m)
+    bound = 1e-8 * max(np.linalg.norm(m), 1e-300)
+    if err > bound:
+        raise CheckFailedError(f"sqrtm reconstruction error {err:g} exceeds {bound:g}")
     return root
 
 
-def frechet_gaussian(a: MomentStats, b: MomentStats, verify: bool = False) -> float:
+def frechet_gaussian(a: MomentStats, b: MomentStats) -> float:
     """Fréchet distance between two Gaussian moment fits (symmetric, >= 0)."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     diff = a.mean - b.mean
-    root_a = sqrtm_psd(a.cov, verify=verify)
+    root_a = sqrtm_psd(a.cov)
     inner = root_a @ b.cov @ root_a
-    cross = sqrtm_psd(0.5 * (inner + inner.T), verify=verify)
+    cross = sqrtm_psd(0.5 * (inner + inner.T))
     val = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
     # exact value is nonnegative; rounding can leave a tiny negative residue
     return max(val, 0.0)
@@ -181,8 +180,7 @@ class FldReport:
 _RIDGE_SCALE = 1e-6  # relative ridge on checkpoint covariances, scaled by tr(S)/D
 
 
-def node_fld(stats: MomentStats, reference: MomentStats, t: float,
-             verify: bool = False) -> float:
+def node_fld(stats: MomentStats, reference: MomentStats, t: float) -> float:
     """Fréchet distance to the target of the finite moments recorded at node time t.
 
     The covariance gets a relative ridge _RIDGE_SCALE * tr(S)/D before the matrix
@@ -194,16 +192,13 @@ def node_fld(stats: MomentStats, reference: MomentStats, t: float,
         warnings.warn(f"checkpoint batch of {stats.n_samples} samples is below "
                       f"D+1={stats.dim + 1}; covariance is rank-deficient", stacklevel=2)
     eps = _RIDGE_SCALE * float(np.trace(stats.cov)) / stats.dim
-    return frechet_gaussian(replace(stats, cov=stats.cov + eps * np.eye(stats.dim)), reference,
-                            verify=verify)
+    return frechet_gaussian(replace(stats, cov=stats.cov + eps * np.eye(stats.dim)), reference)
 
 
-def track_fld(traj: Trajectory, reference: MomentStats,
-              reference_id: str = "target", verify: bool = False) -> FldReport:
+def track_fld(traj: Trajectory, reference: MomentStats, reference_id: str = "target") -> FldReport:
     """node_fld at every checkpoint of ``traj``, any (times, batches) pair: a
     Trajectory as integrated or as loaded from a file."""
-    values = [node_fld(MomentStats.from_samples(batch), reference, t, verify=verify)
-              for t, batch in zip(*traj)]
+    values = [node_fld(MomentStats.from_samples(batch), reference, t) for t, batch in zip(*traj)]
     return FldReport(times=tuple(traj[0]), values=np.array(values), reference_id=reference_id)
 
 

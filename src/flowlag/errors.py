@@ -11,7 +11,8 @@ class ConfigError(ValueError):
 
 
 class CheckFailedError(AssertionError):
-    """A runtime check failed: --verify, an oracle Monte Carlo check or --require-lag-ratio."""
+    """A runtime check failed: an FLD matrix square root, an oracle Monte Carlo check or
+    --require-lag-ratio."""
 
 
 class NonFiniteVelocityError(FloatingPointError):

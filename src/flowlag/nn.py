@@ -70,11 +70,14 @@ class Mlp:
     ``forward`` runs N rows as ceil(N / 1024) blocks of near-equal size
     (within 128 rows) whose edges fall on multiples of 64 rows: a row's
     place in OpenBLAS's GEMM row groups sets its rounding, and an edge
-    off a multiple of 8 changed up to 600 output elements by an ulp.
-    Inputs, hidden activations and skip product go into private buffers
-    of one block, so memory besides the output does not grow with N and
-    one net must not run ``forward`` from two threads at once.  The output
-    is always a fresh array; ``forward_cached`` allocates all fresh.
+    off a multiple of 8 changed up to 600 output elements by an ulp.  At
+    D >= 16 the output then equals ``forward_cached``'s bit for bit; at
+    D <= 8 some batches of over 1024 rows differ from it by a few eps
+    times max|output| (up to 6.4 in 256x3 nets).  Inputs, layer results and
+    skip product go into private buffers of one block, so memory besides
+    the output does not grow with N and one net must not run ``forward``
+    from two threads at once.  The output is always a fresh array;
+    ``forward_cached`` allocates all fresh.
     """
 
     dim: int
@@ -123,16 +126,16 @@ class Mlp:
             buf = self._buffers[name] = np.empty(_FORWARD_ROWS * cols, dtype=self.dtype)
         return buf[:rows * cols].reshape(rows, cols)
 
-    def _block(self, x, t, out):
-        """Output and activations of one row block, all fresh when ``out`` is None.
+    def _block(self, x, t, buffer, out):
+        """Write one row block's output into ``out``; return its activations.
 
-        Bias and tanh are applied in place on each matmul result.  Given ``out``,
-        z = [x, emb(t)], the hidden layers (alternating between two) and the skip
-        product use kept buffers, and the output layer is written into ``out``.
+        ``buffer(key, rows, cols)`` provides z = [x, emb(t)], each layer's matmul
+        result (under keys 0 and 1 in turn) and the skip product: fresh arrays for
+        ``forward_cached``, kept buffers for ``forward``.  Bias and tanh are applied
+        in place on each matmul result.
         """
-        keep = out is None
         width = self.dim + self.time_embedding.width
-        z = np.empty((len(x), width), self.dtype) if keep else self._buffer("z", len(x), width)
+        z = buffer("z", len(x), width)
         z[:, :self.dim] = x
         # checked after the cast: a finite float64 can overflow a float32 net
         if not np.all(np.isfinite(z[:, :self.dim])):
@@ -140,24 +143,21 @@ class Mlp:
         # a scalar t is embedded once and its row broadcast down the block
         z[:, self.dim:] = self.time_embedding(t)
         acts = [z]
-        h = z
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            buf = out if i == last else None if keep else self._buffer(i % 2, len(z), w.shape[1])
-            h = np.matmul(h, w, out=buf)
+            h = np.matmul(acts[-1], w, out=buffer(i % 2, len(z), w.shape[1]))
             h += b
             if i != last:
                 np.tanh(h, out=h)
-            if keep:
-                acts.append(h)
-        # the skip term s(t) x; the cache's last activation stays the body output
+            acts.append(h)
+        # the skip term s(t) x; the last activation stays the body output
         scale = self.skip[0] + z[:, self.dim:] @ self.skip[1:]
-        skip = np.multiply(scale[:, None], z[:, :self.dim],
-                           out=None if keep else self._buffer("skip", len(z), self.dim))
-        return np.add(h, skip, out=None if keep else h), acts
+        skip = np.multiply(scale[:, None], z[:, :self.dim], out=buffer("skip", len(z), self.dim))
+        np.add(acts[-1], skip, out=out)
+        return acts
 
-    def _pass(self, x, t, keep: bool):
-        """Output, plus the activation cache when ``keep``; without it, in row blocks."""
+    def _rows(self, x, t):
+        """(x as (N, D) rows, t as an array, whether x was one vector), checked."""
         x = np.asarray(x)
         squeeze = x.ndim == 1
         if squeeze:
@@ -167,41 +167,36 @@ class Mlp:
         t = np.asarray(t, dtype=np.float64)
         if t.ndim != 0 and t.shape != (x.shape[0],):
             raise ValueError("time must be scalar or one value per row")
-        if keep:
-            h, acts = self._block(x, t, None)
-        else:
-            h = np.empty((len(x), self.dim), dtype=self.dtype)
-            n_blocks = -(-len(x) // _FORWARD_ROWS) or 1   # an empty batch is one block
-            units = -(-len(x) // _ROW_GRAIN)
-            edges = [min(len(x), _ROW_GRAIN * (units * k // n_blocks)) for k in range(n_blocks + 1)]
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                self._block(x[lo:hi], t if t.ndim == 0 else t[lo:hi], h[lo:hi])
-        out = h[0] if squeeze else h
-        return out, ({"acts": acts, "squeeze": squeeze} if keep else None)
+        return x, t, squeeze
 
     def forward(self, x, t):
-        """Velocity prediction; deterministic for fixed parameters."""
-        return self._pass(x, t, keep=False)[0]
+        """Velocity prediction, in row blocks; deterministic for fixed parameters."""
+        x, t, squeeze = self._rows(x, t)
+        out = np.empty((len(x), self.dim), dtype=self.dtype)
+        n_blocks = -(-len(x) // _FORWARD_ROWS) or 1   # an empty batch is one block
+        units = -(-len(x) // _ROW_GRAIN)
+        edges = [min(len(x), _ROW_GRAIN * (units * k // n_blocks)) for k in range(n_blocks + 1)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            self._block(x[lo:hi], t if t.ndim == 0 else t[lo:hi], self._buffer, out[lo:hi])
+        return out[0] if squeeze else out
 
     def forward_cached(self, x, t):
-        """Forward pass that keeps activations for a later backward call."""
-        return self._pass(x, t, keep=True)
+        """(output, activations) in one pass; the activations are ``backward``'s cache."""
+        x, t, squeeze = self._rows(x, t)
+        out = np.empty((len(x), self.dim), dtype=self.dtype)
+        acts = self._block(x, t, lambda key, rows, cols: np.empty((rows, cols), self.dtype), out)
+        return (out[0] if squeeze else out), acts
 
-    def backward(self, cache, grad_out) -> dict:
-        """Parameter gradients given d(loss)/d(output).
+    def backward(self, acts, grad_out) -> dict:
+        """Parameter gradients given d(loss)/d(output), an (N, D) array.
 
-        ``cache`` must come from ``forward_cached`` on the same input.
+        ``acts`` must come from ``forward_cached`` on the same input.
         Gradients for the time-embedding inputs are discarded (the
         embedding has no trainable parameters).
         """
-        if not isinstance(cache, dict) or "acts" not in cache:
-            raise ValueError("backward requires the cache returned by forward_cached")
-        acts = cache["acts"]
         if len(acts) != len(self.weights) + 1:
             raise ValueError("activation cache does not match network depth")
         g = np.asarray(grad_out, dtype=self.dtype)
-        if cache["squeeze"] and g.ndim == 1:
-            g = g[None, :]
         if g.shape != acts[-1].shape:
             raise ValueError(f"grad shape {g.shape} does not match output {acts[-1].shape}")
         z = acts[0]
@@ -257,14 +252,6 @@ class Adam:
             "v": {k: a.copy() for k, a in self.v.items()},
         }
 
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "Adam":
-        opt = cls(lr=state["lr"], beta1=state["beta1"], beta2=state["beta2"],
-                  eps=state["eps"], step_count=state["step_count"])
-        opt.m = {k: np.array(a) for k, a in state["m"].items()}
-        opt.v = {k: np.array(a) for k, a in state["v"].items()}
-        return opt
-
 
 # -- checkpoint container -------------------------------------------------
 
@@ -296,10 +283,10 @@ def save_checkpoint(path, net: Mlp, optimizer: Adam | None = None,
     }
     arrays = {f"param_{k}": p for k, p in net.parameters().items()}
     if optimizer is not None:
-        state = optimizer.state_dict()
-        meta["optimizer"] = {k: state[k] for k in ("lr", "beta1", "beta2", "eps", "step_count")}
-        arrays.update({f"adam_m_{k}": a for k, a in state["m"].items()})
-        arrays.update({f"adam_v_{k}": a for k, a in state["v"].items()})
+        meta["optimizer"] = {k: getattr(optimizer, k)
+                             for k in ("lr", "beta1", "beta2", "eps", "step_count")}
+        arrays.update({f"adam_m_{k}": a for k, a in optimizer.m.items()})
+        arrays.update({f"adam_v_{k}": a for k, a in optimizer.v.items()})
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **arrays)
 
@@ -320,12 +307,10 @@ def load_checkpoint(path) -> Checkpoint:
                   skip=np.asarray(data["param_skip"], dtype=dtype), dtype=dtype)
         optimizer = None
         if meta["has_optimizer"]:
-            opt_meta = meta["optimizer"]
-            optimizer = Adam.from_state_dict({
-                **opt_meta,
-                "m": {k[len("adam_m_"):]: data[k] for k in data.files if k.startswith("adam_m_")},
-                "v": {k[len("adam_v_"):]: data[k] for k in data.files if k.startswith("adam_v_")},
-            })
+            optimizer = Adam(
+                **meta["optimizer"],
+                m={k[len("adam_m_"):]: data[k] for k in data.files if k.startswith("adam_m_")},
+                v={k[len("adam_v_"):]: data[k] for k in data.files if k.startswith("adam_v_")})
     return Checkpoint(net=net, optimizer=optimizer, rng_state=meta["rng_state"],
                       step=meta["step"], extra=meta["extra"])
 

@@ -39,6 +39,8 @@ def write_csv(dest, header, rows) -> None:
 
 def read_csv(path):
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file, no CSV header")
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows

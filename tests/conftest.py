@@ -8,6 +8,13 @@ import pytest
 from flowlag.training import TrainConfig, train
 
 
+def pytest_collection_modifyitems(items):
+    """Mark the acceptance gate's tests, so that ``-m acceptance`` selects them."""
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.acceptance)
+
+
 @pytest.fixture(scope="session")
 def tiny_run(tmp_path_factory):
     """A quick D=4 training run with artifacts on disk."""

@@ -181,7 +181,7 @@ class TestDiagnoseCommands:
         assert run_cli("diagnose", "fld", "--traj", str(base_traj), "--reference",
                        "gaussian:4:1.0", "--out", str(base_csv)) == EXIT_OK
         assert run_cli("diagnose", "fld", "--traj", str(corr_traj), "--reference",
-                       "gaussian:4:1.0", "--verify", "--out", str(corr_csv)) == EXIT_OK
+                       "gaussian:4:1.0", "--out", str(corr_csv)) == EXIT_OK
         lag_csv = tmp_path / "lag.csv"
         assert run_cli("diagnose", "lag", "--baseline", str(base_csv),
                        "--corrected", str(corr_csv), "--out", str(lag_csv)) == EXIT_OK
@@ -363,22 +363,26 @@ class TestDiagnoseCommands:
         assert "finite nonnegative distance" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fault", ["nan", "decreasing", "above-one", "no-rows"])
+    @pytest.mark.parametrize("fault", ["nan", "decreasing", "above-one", "no-rows", "empty",
+                                       "short-row"])
     def test_lag_of_a_report_with_malformed_times_exits_4(self, fld_inputs, tmp_path, capsys,
                                                           fault):
         """A report's times obey the node-time rule of a trajectory file, and a report
-        holds at least one checkpoint: anything else is a malformed input file, refused
-        as the baseline, as the corrected report and against itself."""
+        holds a header and at least one checkpoint, each with a distance: anything else is
+        a malformed input file, refused as the baseline, as the corrected report and
+        against itself."""
         report = tmp_path / "fld.csv"
         Path(f"{report}.json").write_bytes(Path(f"{fld_inputs[1][0]}.json").read_bytes())
         lines = Path(fld_inputs[1][0]).read_text().splitlines()   # header, then 5 rows
-        if fault == "no-rows":
-            lines = lines[:1]
+        if fault in ("no-rows", "empty"):
+            lines = lines[:1 if fault == "no-rows" else 0]
+        elif fault == "short-row":
+            lines[2] = lines[2].split(",")[0]   # the second row's time alone
         else:
             row = 2 if fault in ("nan", "decreasing") else 5   # the second or last row
             t = {"nan": "nan", "decreasing": "0.9", "above-one": "1.5"}[fault]
             lines[row] = ",".join((t, *lines[row].split(",")[1:]))
-        report.write_text("\n".join(lines) + "\n")
+        report.write_text("".join(line + "\n" for line in lines))
         good = fld_inputs[1][1]
         for pair in ((report, good), (good, report), (report, report)):
             out = tmp_path / "lag.csv"
@@ -387,9 +391,20 @@ class TestDiagnoseCommands:
                            "--corrected", str(pair[1]), "--out", str(out)) == EXIT_RUNTIME
             err = capsys.readouterr().err
             assert f"{report}: " in err
-            assert ("one or more checkpoints" if fault == "no-rows"
-                    else "FLD report: node times") in err
+            assert {"no-rows": "one or more checkpoints", "empty": "empty file",
+                    "short-row": "no distance"}.get(fault, "FLD report: node times") in err
             assert not out.exists()
+
+    def test_fld_whose_square_root_fails_its_check_exits_3(self, fld_inputs, tmp_path, capsys,
+                                                            monkeypatch):
+        """Every matrix square root is checked: a slightly scaled eigenbasis fails the check."""
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], eigh(m)[1] * (1 + 1e-6)))
+        out = tmp_path / "fld.csv"
+        assert run_cli("diagnose", "fld", "--traj", fld_inputs[0], "--reference",
+                       "gaussian:4:1.0", "--out", str(out)) == EXIT_CHECK
+        assert "sqrtm reconstruction error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fld_reads_each_node_once(self, fld_inputs, tmp_path, monkeypatch):
         """The trajectory's shape comes from its header; each node batch is read once."""
@@ -610,6 +625,16 @@ class TestRunExperiment:
         assert "unknown" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_verify_spec_key_exits_2(self, fld_inputs, tmp_path, capsys):
+        """The square-root check always runs: verify is no parameter."""
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "diagnose-fld", "out_dir": str(tmp_path / "o"),
+                                   "spec": {"traj": fld_inputs[0], "reference": "gaussian:4:1.0",
+                                            "verify": True}}))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+        assert "unknown" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("experiment", ["diagnose-norm", "diagnose-fld"])
     def test_svg_spec_key_exits_2(self, tiny_run, fld_inputs, tmp_path, capsys, experiment):
         """CSV is the only output: a chart path in a spec is an unknown field."""
@@ -738,6 +763,7 @@ class TestRunExperiment:
     ["lag-sweep", "--checkpoint", "CK", "--particles", "1"],
     ["oracle", "rho", "--dim", "4", "--pairs", "10000", "--seed", "-1"],
     ["lag-sweep", "--checkpoint", "CK", "--s-start", "1.1,1.1000001", "--particles", "64"],
+    ["diagnose", "fld", "--traj", "TRAJ", "--reference", "gaussian:4:1.0", "--verify"],
 ])
 def test_argument_problems_exit_2(argv, tiny_run, fld_inputs, tmp_path):
     """An argument the experiment refuses exits 2, whether argparse or the
@@ -903,7 +929,7 @@ class TestFlagsMatchRun:
             "oracle-cross-term": {"dim": 4, "t": [0.0, 0.5], "n_mc": 2000},
             "oracle-rho": {"dim": 16, "pairs": 10000, "data_std": 2},
             "diagnose-norm": {"checkpoint": ck, "grid": "0.2:0.8:3", "samples": 1000},
-            "diagnose-fld": {"traj": traj, "reference": "gaussian:4:1.0", "verify": True},
+            "diagnose-fld": {"traj": traj, "reference": "gaussian:4:1.0"},
             "diagnose-lag": {"baseline": reports[0], "corrected": reports[1]},
             "lag-sweep": {"checkpoint": ck, "nfe": [4, 6], "s_start": [1.0, 1.1],
                           "particles": 32, "floor_nfe": 8, "checkpoints": [0.5, 1.0]},

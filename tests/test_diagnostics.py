@@ -16,6 +16,7 @@ from flowlag.diagnostics import (
     sqrtm_psd,
     track_fld,
 )
+from flowlag.errors import CheckFailedError
 from flowlag.gaussian_oracle import GaussianFlowSpec, OracleField
 from flowlag.interpolant import LinearPath
 from flowlag.solver import SolverSpec, integrate
@@ -35,7 +36,7 @@ class TestSqrtm:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((32, 32))
         m = a.T @ a
-        s = sqrtm_psd(m, verify=True)
+        s = sqrtm_psd(m)
         assert np.linalg.norm(s @ s - m) <= 1e-8 * np.linalg.norm(m)
         np.testing.assert_allclose(s, s.T, atol=1e-12)
 
@@ -48,6 +49,13 @@ class TestSqrtm:
         with pytest.raises(ValueError):
             sqrtm_psd(np.diag([1.0, -0.5]))
 
+    def test_reconstruction_is_always_checked(self, monkeypatch):
+        """A slightly scaled eigenbasis gives a root whose square misses m by 4e-6 ||m||."""
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], eigh(m)[1] * (1 + 1e-6)))
+        with pytest.raises(CheckFailedError, match="reconstruction"):
+            sqrtm_psd(np.diag([4.0, 9.0]))
+
     def test_tiny_negative_clipped(self):
         m = np.diag([1.0, -1e-12])
         s = sqrtm_psd(m)
@@ -56,7 +64,7 @@ class TestSqrtm:
     def test_verify_flag_checks_every_report_matrix(self):
         rng = np.random.default_rng(7)
         batch = rng.standard_normal((256, 6))
-        report = track_fld(((1.0,), [batch]), gaussian_reference(6), "analytic", verify=True)
+        report = track_fld(((1.0,), [batch]), gaussian_reference(6), "analytic")
         assert report.values[0] >= 0.0
 
 

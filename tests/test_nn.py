@@ -80,17 +80,17 @@ class TestForward:
         params_before = {k: p.copy() for k, p in net.parameters().items()}
 
         out, cache = net.forward_cached(x, t)
-        acts_before = [a.copy() for a in cache["acts"]]
+        acts_before = [a.copy() for a in cache]
         again = net.forward(x, t)
         assert again.dtype == dtype
         np.testing.assert_array_equal(again, out)
         np.testing.assert_array_equal(x, x_before)
         for key, p in net.parameters().items():
             np.testing.assert_array_equal(p, params_before[key])
-        for a, before in zip(cache["acts"], acts_before):
+        for a, before in zip(cache, acts_before):
             np.testing.assert_array_equal(a, before)
         # the cache holds the body output, without the skip term
-        assert not np.array_equal(cache["acts"][-1], out)
+        assert not np.array_equal(cache[-1], out)
 
     def test_scalar_time_equals_repeated_per_row_time(self):
         rng = np.random.default_rng(25)
@@ -193,6 +193,21 @@ class TestForward:
             np.testing.assert_array_equal(out, net.forward_cached(x, t)[0], err_msg=f"{n} rows")
             assert not any(np.shares_memory(out, buf) for buf in net._buffers.values())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_blocked_forward_at_small_dim_is_within_64_eps_of_one_pass(self, dtype, dim):
+        """At D <= 8 a block can round some rows otherwise than the whole-batch product."""
+        rng = np.random.default_rng(31)
+        net = Mlp.create(dim=dim, hidden=(256, 256, 256), rng=rng, dtype=dtype)
+        for b in net.biases:
+            b[:] = rng.uniform(-0.5, 0.5, b.shape)
+        net.skip[:] = rng.uniform(-0.5, 0.5, net.skip.shape)
+        for n in (1025, 2049, 8192, 8200):
+            x = rng.standard_normal((n, dim))
+            want = net.forward_cached(x, 0.3)[0]
+            bound = 64 * np.finfo(dtype).eps * np.abs(want).max()
+            assert np.abs(net.forward(x, 0.3) - want).max() <= bound, f"{n} rows"
+
     def test_forward_buffers_hold_one_block_whatever_the_batch(self):
         net = Mlp.create(dim=6, hidden=(24, 16, 32), rng=np.random.default_rng(30),
                          n_time_pairs=3, dtype=np.float32)
@@ -225,7 +240,7 @@ class TestBackward:
         out, cache = net.forward_cached(x, t)
         resid = out - y
         grads = net.backward(cache, 2.0 * resid)
-        z = cache["acts"][0]
+        z = cache[0]
         np.testing.assert_allclose(grads["W0"], 2.0 * z.T @ resid, rtol=1e-12)
         np.testing.assert_allclose(grads["b0"], 2.0 * resid.sum(axis=0), rtol=1e-12)
 
@@ -262,6 +277,15 @@ class TestBackward:
         net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(14))
         with pytest.raises(ValueError):
             net.backward({"bogus": True}, np.zeros((1, 2)))
+
+    def test_backward_takes_the_caches_row_shape(self):
+        """A vector input gives a vector output, but its gradient has the cache's (1, D) shape."""
+        net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(15))
+        out, cache = net.forward_cached(np.ones(2), 0.1)
+        assert out.shape == (2,)
+        with pytest.raises(ValueError):
+            net.backward(cache, np.zeros(2))
+        assert net.backward(cache, np.zeros((1, 2)))["W0"].shape == net.weights[0].shape
 
     def test_backward_shape_check(self):
         net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(15))
