@@ -26,14 +26,14 @@ from typing import Callable
 
 import numpy as np
 
-from .datasets import make_dataset
+from .datasets import GaussianData, make_dataset
 from .diagnostics import (REFERENCE_SAMPLES, FldReport, MomentStats, lag_improvement, node_fld,
                           norm_profile, reference_from_dataset, split_half_fld, track_fld)
 from .errors import CheckFailedError, ConfigError
-from .gaussian_oracle import (GaussianFlowSpec, conditional_pair_sample, cross_term_expectation,
-                              jensen_gap, marginal_variance, require_n_mc, rho_statistics,
+from .gaussian_oracle import (conditional_pair_sample, cross_term_expectation, jensen_gap,
+                              marginal_variance, require_n_mc, rho_statistics,
                               typical_shell_point, velocity_variance)
-from .interpolant import PATH_KINDS, LinearPath, make_interpolant
+from .interpolant import PATH_KINDS, make_interpolant
 from .nn import load_checkpoint
 from .reporting import read_csv, write_csv, write_manifest
 from .rng import rng_for
@@ -280,15 +280,15 @@ def _sample(params, seed, out) -> int:
 
 
 def _oracle_jensen(params, seed, out) -> int:
-    spec = GaussianFlowSpec(dim=params["dim"], data_std=params["data_std"])
+    data = GaussianData(params["dim"], params["data_std"])
     interp = make_interpolant(params["path"])
     rng = rng_for(seed, "oracle:jensen")
     rows, failures = [], []
     for t in params["t"]:
-        x = typical_shell_point(spec, interp, t)
-        res = jensen_gap(spec, interp, x, t, params["n_mc"], rng)
+        x = typical_shell_point(data, interp, t)
+        res = jensen_gap(data, interp, x, t, params["n_mc"], rng)
         rows.append((t, res.learned_energy, res.target_energy, res.mc_stderr))
-        if velocity_variance(spec, interp, t) == 0.0:  # deterministic target: no gap to resolve
+        if velocity_variance(data, interp, t) == 0.0:  # deterministic target: no gap to resolve
             if not np.isclose(res.learned_energy, res.target_energy, rtol=1e-12, atol=0.0):
                 failures.append(f"t={t}: learned and target energies differ where the gap is 0")
         elif not res.is_conclusive:
@@ -303,19 +303,19 @@ def _oracle_jensen(params, seed, out) -> int:
 def _oracle_cross_term(params, seed, out) -> int:
     dim, n_mc = params["dim"], params["n_mc"]
     require_n_mc(n_mc)
-    spec = GaussianFlowSpec(dim=dim, data_std=params["data_std"])
-    interp = LinearPath()
+    data = GaussianData(dim, params["data_std"])
+    interp = make_interpolant(params["path"])
     rng = rng_for(seed, "oracle:cross-term")
     rows, failures = [], []
     for t in params["t"]:
-        x = rng.standard_normal(dim) * float(np.sqrt(marginal_variance(spec, interp, t)))
-        closed = cross_term_expectation(spec, interp, x, t)
+        x = rng.standard_normal(dim) * float(np.sqrt(marginal_variance(data, interp, t)))
+        closed = cross_term_expectation(data, interp, x, t)
         if t in (0.0, 1.0):
             rows.append((t, closed, closed, 0.0))
             if closed != 0.0:
                 failures.append(f"t={t}: boundary cross-term not exactly zero")
             continue
-        x0, x1 = conditional_pair_sample(spec, interp, x, t, n_mc, rng)
+        x0, x1 = conditional_pair_sample(data, interp, x, t, n_mc, rng)
         inner = np.einsum("ij,ij->i", x0, x1)
         est = float(inner.mean())
         se = float(inner.std(ddof=1) / np.sqrt(n_mc))
@@ -491,6 +491,7 @@ _RECORD_TIMES = Param("checkpoints", float, (0.2, 0.4, 0.6, 0.8, 1.0),
 _DIM = Param("dim", int)
 _DATA_STD = Param("data_std", float, 1.0)
 _N_MC = Param("n_mc", int, 100_000)
+_PATH = Param("path", str, "linear", choices=PATH_KINDS)
 
 EXPERIMENTS = {exp.name: exp for exp in (
     Experiment("train", "train a velocity network from a JSON config", _train,
@@ -501,11 +502,11 @@ EXPERIMENTS = {exp.name: exp for exp in (
         Param("schedule", str, "constant-one", help="shape:s_start:s_end, e.g. linear:1.1:1.0"),
         _METHOD, _PARTICLES, _RECORD_TIMES), out="bin"),
     Experiment("oracle-jensen", "learned vs target kinetic energy", _oracle_jensen, (
-        _DIM, _DATA_STD, Param("path", str, "linear", choices=PATH_KINDS),
+        _DIM, _DATA_STD, _PATH,
         Param("t", float, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), many=True), _N_MC)),
     Experiment("oracle-cross-term", "conditional cross-term, closed form vs MC",
                _oracle_cross_term, (
-        _DIM, _DATA_STD, Param("t", float, (0.25, 0.5, 0.75), many=True), _N_MC)),
+        _DIM, _DATA_STD, _PATH, Param("t", float, (0.25, 0.5, 0.75), many=True), _N_MC)),
     Experiment("oracle-rho", "relative cross-term concentration statistics", _oracle_rho, (
         _DIM, Param("pairs", int, 50_000), _DATA_STD)),
     Experiment("diagnose-norm", "velocity-norm profile of a checkpoint", _diagnose_norm, (

@@ -26,29 +26,23 @@ from .errors import ConfigError
 from .interpolant import Interpolant, _bcast
 
 
-@dataclass(frozen=True)
-class GaussianFlowSpec:
-    """Isotropic Gaussian data in D dimensions with per-coordinate std."""
-
-    dim: int
-    data_std: float = 1.0
-
-    def __post_init__(self):
-        GaussianData(self.dim, self.data_std)   # refuses a dim below 1, a std outside (0, inf)
+def GaussianFlowSpec(dim: int, data_std: float = 1.0) -> GaussianData:
+    """``GaussianData(dim, data_std)`` under the oracle's old type name, for perfbench/."""
+    return GaussianData(dim, data_std)
 
 
-def _law(spec: GaussianFlowSpec, interp: Interpolant, t):
+def _law(data: GaussianData, interp: Interpolant, t):
     """(alpha, sigma, d_alpha, d_sigma, s_t^2) at a scalar or array t."""
     a, s, da, ds = interp.coefficients(t)
-    return a, s, da, ds, a * a * spec.data_std**2 + s * s
+    return a, s, da, ds, a * a * data.std**2 + s * s
 
 
-def marginal_variance(spec: GaussianFlowSpec, interp: Interpolant, t):
+def marginal_variance(data: GaussianData, interp: Interpolant, t):
     """Per-coordinate variance s_t^2 of the forward marginal at time t."""
-    return _law(spec, interp, t)[4]
+    return _law(data, interp, t)[4]
 
 
-def velocity_coefficient(spec: GaussianFlowSpec, interp: Interpolant, t):
+def velocity_coefficient(data: GaussianData, interp: Interpolant, t):
     """Scalar c(t) with v*(x, t) = c(t) x.
 
     The sigma * d_sigma product stays finite at t=1 for every supported
@@ -56,32 +50,32 @@ def velocity_coefficient(spec: GaussianFlowSpec, interp: Interpolant, t):
     is needed: at the boundaries c(0) = d_sigma(0) and c(1) = d_alpha(1)
     hold exactly.
     """
-    a, s, da, ds, s2 = _law(spec, interp, t)
-    return (da * a * spec.data_std**2 + ds * s) / s2
+    a, s, da, ds, s2 = _law(data, interp, t)
+    return (da * a * data.std**2 + ds * s) / s2
 
 
-def velocity_variance(spec: GaussianFlowSpec, interp: Interpolant, t):
+def velocity_variance(data: GaussianData, interp: Interpolant, t):
     """The exact Jensen gap E[||v_target||^2 | x_t] - ||v*(x_t, t)||^2, alike for every x_t.
 
     D data_std^2 at linear t=0 and D at linear t=1.  On the vp path it
     grows without bound as t -> 1 (d_sigma ~ 1/sqrt(1-t)), yet is exactly
     0 at t=1, where d_sigma(1) = 0 makes the target velocity deterministic.
     """
-    a, s, da, ds, s2 = _law(spec, interp, t)
-    return spec.dim * (spec.data_std**2 / s2) * (a * ds - da * s) ** 2
+    a, s, da, ds, s2 = _law(data, interp, t)
+    return data.dim * (data.std**2 / s2) * (a * ds - da * s) ** 2
 
 
-def oracle_velocity(spec: GaussianFlowSpec, interp: Interpolant, x, t):
+def oracle_velocity(data: GaussianData, interp: Interpolant, x, t):
     """Exact conditional-mean velocity E[v_target | x_t = x] = c(t) x."""
-    x = _asarray_dim(x, spec.dim)
-    return _bcast(velocity_coefficient(spec, interp, t), x) * x
+    x = _asarray_dim(x, data.dim)
+    return _bcast(velocity_coefficient(data, interp, t), x) * x
 
 
-def conditional_means(spec: GaussianFlowSpec, interp: Interpolant, x, t):
+def conditional_means(data: GaussianData, interp: Interpolant, x, t):
     """(E[x1 | x_t = x], E[x0 | x_t = x]); both are scalar multiples of x."""
-    x = _asarray_dim(x, spec.dim)
-    a, s, _, _, s2 = _law(spec, interp, t)
-    e1 = _bcast(a * spec.data_std**2 / s2, x) * x
+    x = _asarray_dim(x, data.dim)
+    a, s, _, _, s2 = _law(data, interp, t)
+    e1 = _bcast(a * data.std**2 / s2, x) * x
     e0 = _bcast(s / s2, x) * x
     return e1, e0
 
@@ -89,22 +83,22 @@ def conditional_means(spec: GaussianFlowSpec, interp: Interpolant, x, t):
 class OracleField:
     """Callable (x, t) -> velocity wrapper around the closed-form field."""
 
-    def __init__(self, spec: GaussianFlowSpec, interp: Interpolant):
-        self.spec = spec
+    def __init__(self, data: GaussianData, interp: Interpolant):
+        self.data = data
         self.interp = interp
 
     def __call__(self, x, t):
-        return oracle_velocity(self.spec, self.interp, x, t)
+        return oracle_velocity(self.data, self.interp, x, t)
 
 
 def _asarray_dim(x, dim: int):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != dim:
-        raise ValueError(f"state has trailing dimension {x.shape[-1]}, spec has dim {dim}")
+        raise ValueError(f"state has trailing dimension {x.shape[-1]}, data has dim {dim}")
     return x
 
 
-def conditional_pair_sample(spec, interp, x, t, n: int, rng: np.random.Generator):
+def conditional_pair_sample(data, interp, x, t, n: int, rng: np.random.Generator):
     """Draw n exact samples of (x0, x1) given x_t = x.
 
     Given x_t the pair is a rank-one Gaussian supported on the line
@@ -116,33 +110,33 @@ def conditional_pair_sample(spec, interp, x, t, n: int, rng: np.random.Generator
     which reproduces the conditional means, variances, and covariance
     exactly (no rejection, no estimator bias).
     """
-    x = _asarray_dim(x, spec.dim)
+    x = _asarray_dim(x, data.dim)
     if x.ndim != 1:
         raise ValueError("conditioning state must be a single vector")
-    a, s, _, _, s2 = (float(v) for v in _law(spec, interp, t))
-    sd = spec.data_std
+    a, s, _, _, s2 = (float(v) for v in _law(data, interp, t))
+    sd = data.std
     sroot = math.sqrt(s2)
-    w = rng.standard_normal((n, spec.dim))
+    w = rng.standard_normal((n, data.dim))
     x0 = (s / s2) * x + (a * sd / sroot) * w
     x1 = (a * sd * sd / s2) * x - (s * sd / sroot) * w
     return x0, x1
 
 
-def conditional_target_energy(spec, interp, x, t) -> float:
+def conditional_target_energy(data, interp, x, t) -> float:
     """Closed-form E[||v_target||^2 | x_t = x] = ||v*(x, t)||^2 + velocity_variance."""
-    v = oracle_velocity(spec, interp, x, t)
-    return float(v @ v + velocity_variance(spec, interp, t))
+    v = oracle_velocity(data, interp, x, t)
+    return float(v @ v + velocity_variance(data, interp, t))
 
 
-def cross_term_expectation(spec: GaussianFlowSpec, interp: Interpolant, x_t, t) -> float:
+def cross_term_expectation(data: GaussianData, interp: Interpolant, x_t, t) -> float:
     """E[<x0, x1> | x_t] on every path.
 
     Equals sigma alpha (sd^2 / s_t^2) (||x_t||^2 / s_t^2 - D) and vanishes
     identically at t in {0, 1} and on the typical shell ||x_t||^2 = D s_t^2.
     """
-    x_t = _asarray_dim(x_t, spec.dim)
-    a, s, _, _, s2 = _law(spec, interp, t)
-    return float(s * a * (spec.data_std**2 / s2) * (float(x_t @ x_t) / s2 - spec.dim))
+    x_t = _asarray_dim(x_t, data.dim)
+    a, s, _, _, s2 = _law(data, interp, t)
+    return float(s * a * (data.std**2 / s2) * (float(x_t @ x_t) / s2 - data.dim))
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ def require_n_mc(n_mc: int) -> None:
         raise ConfigError(f"n_mc must be >= 1000 to resolve the gap, got {n_mc}")
 
 
-def jensen_gap(spec, interp, x, t, n_mc: int, rng: np.random.Generator) -> JensenGapResult:
+def jensen_gap(data, interp, x, t, n_mc: int, rng: np.random.Generator) -> JensenGapResult:
     """Compare ||E[v|x_t]||^2 against a Monte Carlo E[||v||^2 | x_t].
 
     The target energy is estimated from exact conditional samples of
@@ -184,10 +178,10 @@ def jensen_gap(spec, interp, x, t, n_mc: int, rng: np.random.Generator) -> Jense
     the comparison is conclusive rather than silently passing.
     """
     require_n_mc(n_mc)
-    x, t = _asarray_dim(x, spec.dim), float(t)
-    v_star = oracle_velocity(spec, interp, x, t)   # interp.coefficients checks t
+    x, t = _asarray_dim(x, data.dim), float(t)
+    v_star = oracle_velocity(data, interp, x, t)   # interp.coefficients checks t
     learned = float(v_star @ v_star)
-    x0, x1 = conditional_pair_sample(spec, interp, x, t, n_mc, rng)
+    x0, x1 = conditional_pair_sample(data, interp, x, t, n_mc, rng)
     v = interp.target_velocity(x0, x1, np.full(n_mc, t))
     energies = np.einsum("ij,ij->i", v, v)
     target = float(energies.mean())
@@ -196,10 +190,10 @@ def jensen_gap(spec, interp, x, t, n_mc: int, rng: np.random.Generator) -> Jense
                            mc_stderr=stderr, n_mc=n_mc)
 
 
-def typical_shell_point(spec: GaussianFlowSpec, interp: Interpolant, t) -> np.ndarray:
+def typical_shell_point(data: GaussianData, interp: Interpolant, t) -> np.ndarray:
     """A state on the typical shell ||x||^2 = D s_t^2 (all-equal coordinates)."""
-    s2 = float(marginal_variance(spec, interp, t))
-    return np.full(spec.dim, math.sqrt(s2))
+    s2 = float(marginal_variance(data, interp, t))
+    return np.full(data.dim, math.sqrt(s2))
 
 
 @dataclass(frozen=True)
@@ -230,7 +224,7 @@ def rho_statistics(dim: int, n_pairs: int, data_std: float = 1.0, seed: int = 0)
     Gamma((D+1)/2) / (sqrt(pi) (D/2) Gamma(D/2)), approximately
     sqrt(2 / (pi D)) at large D.
     """
-    GaussianFlowSpec(dim=dim, data_std=data_std)  # refuses a dim below 1 and a bad data_std
+    data = GaussianData(dim, data_std)  # refuses a dim below 1 and a bad data_std
     if n_pairs < 10_000:
         raise ConfigError(f"n_pairs must be >= 10000, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim]))
@@ -239,7 +233,7 @@ def rho_statistics(dim: int, n_pairs: int, data_std: float = 1.0, seed: int = 0)
     while done < n_pairs:
         m = min(_RHO_CHUNK, n_pairs - done)
         x0 = rng.standard_normal((m, dim))
-        x1 = data_std * rng.standard_normal((m, dim))
+        x1 = data.sample(m, rng)
         num = 2.0 * np.abs(np.einsum("ij,ij->i", x0, x1))
         den = np.einsum("ij,ij->i", x0, x0) + np.einsum("ij,ij->i", x1, x1)
         vals[done:done + m] = num / den

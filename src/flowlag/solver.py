@@ -86,7 +86,7 @@ def calibrate_s_start(shape: str, s_end: float, target_area: float) -> float:
     if shape not in SCHEDULE_SHAPES:
         raise ConfigError(f"cannot calibrate shape {shape!r}")
     s_start = s_end + (target_area - s_end) / _BUMP_AREA[shape]
-    if s_start < 0.0:
+    if not 0.0 <= s_start < np.inf:
         raise ConfigError(f"target area {target_area} is infeasible for shape {shape} "
                           f"with s_end {s_end}")
     return s_start

@@ -20,14 +20,14 @@ import numpy as np
 from .datasets import make_dataset
 from .diagnostics import norm_profile
 from .errors import ConfigError, TrainingDivergedError
-from .interpolant import PATH_KINDS, _check_time, make_interpolant
+from .interpolant import PATH_KINDS, make_interpolant
 from .nn import Adam, Mlp, save_checkpoint
 from .reporting import write_csv
 from .rng import rng_for
-from .solver import _BUMP_AREA, SCHEDULE_SHAPES as MAFM_SHAPES, _bump
+from .solver import SCHEDULE_SHAPES, ScaleSchedule
 
 # the values each string field of TrainConfig accepts
-TRAIN_CHOICES = {"path": PATH_KINDS, "loss": ("fm", "mafm"), "mafm_shape": MAFM_SHAPES,
+TRAIN_CHOICES = {"path": PATH_KINDS, "loss": ("fm", "mafm"), "mafm_shape": SCHEDULE_SHAPES,
                  "magnitude_target": ("displacement", "path"),
                  "precision": ("float64", "float32")}
 
@@ -45,15 +45,12 @@ class LossBreakdown:
 def mafm_weight(t, shape: str = "linear", lam0: float = 0.2):
     """Decaying penalty weight; every shape integrates to lam0 / 2.
 
-    All shapes vanish at t=1 so the late-time contraction of the learned
-    field is never penalized; each shape is the solver's decay bump,
-    scaled so the total penalty budget matches the linear default.
+    The weight is the corrector schedule of ``shape`` from lam0 / (2 area), with
+    area that of the shape's unit bump, down to 0: it vanishes at t=1 so the
+    late-time contraction of the learned field is never penalized.
     """
-    if lam0 < 0:
-        raise ValueError(f"lam0 must be nonnegative, got {lam0}")
-    if shape not in MAFM_SHAPES:
-        raise ValueError(f"unknown weight shape {shape!r}; expected one of {MAFM_SHAPES}")
-    return lam0 * (0.5 / _BUMP_AREA[shape]) * _bump(shape, _check_time(t))
+    start = lam0 * (0.5 / ScaleSchedule(shape, 1.0, 0.0).area())
+    return ScaleSchedule(shape, start, 0.0).gamma(t)
 
 
 def _check_batch(x0, x1, t):

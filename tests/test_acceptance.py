@@ -23,7 +23,6 @@ from flowlag.diagnostics import (
     track_fld,
 )
 from flowlag.gaussian_oracle import (
-    GaussianFlowSpec,
     OracleField,
     conditional_pair_sample,
     cross_term_expectation,
@@ -110,7 +109,7 @@ def lag_nets(tmp_path_factory):
 
 
 def test_criterion_01_jensen_gap_strictness():
-    spec = GaussianFlowSpec(dim=DIM, data_std=1.0)
+    spec = GaussianData(dim=DIM, std=1.0)
     interp = LinearPath()
     rng = rng_for(SEED, "acceptance:jensen")
     t0 = time.perf_counter()
@@ -131,7 +130,7 @@ def test_criterion_02_boundary_limits():
     for kind in PATH_KINDS:
         interp = make_interpolant(kind)
         for data_std in (0.5, 1.0, 2.0):
-            spec = GaussianFlowSpec(dim=16, data_std=data_std)
+            spec = GaussianData(dim=16, std=data_std)
             for t, idx, name in ((0.0, 3, "d_sigma(0)"), (1.0, 2, "d_alpha(1)")):
                 expected = float(interp.coefficients(t)[idx]) * x
                 got = oracle_velocity(spec, interp, x, t)
@@ -143,7 +142,7 @@ def test_criterion_02_boundary_limits():
 
 
 def test_criterion_03_cross_term_identity():
-    spec = GaussianFlowSpec(dim=16, data_std=1.0)
+    spec = GaussianData(dim=16, std=1.0)
     interp = LinearPath()
     rng = rng_for(SEED, "acceptance:cross-term")
     clauses = []
@@ -220,7 +219,7 @@ def test_criterion_06_ssc_identity_and_scaling():
 
 
 def _ssc_clauses(interp, data_std):
-    spec = GaussianFlowSpec(dim=16, data_std=data_std)
+    spec = GaussianData(dim=16, std=data_std)
     field = OracleField(spec, interp)
     clauses = []
     unit = ScaleSchedule("linear", 1.0, 1.0)
@@ -299,7 +298,7 @@ def test_criterion_08_deficit_signature(fm_sym):
     prof = norm_profile(fm_sym.net.forward, interp, ds, grid, n_samples=8192,
                         seed=SEED + 6)
     # the exact MSE optimum on the same samples (same seed)
-    opt = norm_profile(OracleField(GaussianFlowSpec(dim=DIM, data_std=1.0), interp), interp,
+    opt = norm_profile(OracleField(GaussianData(dim=DIM, std=1.0), interp), interp,
                        ds, grid, n_samples=8192, seed=SEED + 6)
     target = np.sqrt(2 * DIM)
     interior = prof.mean[1:-1]
@@ -420,7 +419,7 @@ def test_criterion_12_path_robustness(lag_nets):
         interp = make_interpolant(kind)
         clauses.extend(_ssc_clauses(interp, data_std=LAG_DATA_STD))
     ref = gaussian_reference(DIM, std=LAG_DATA_STD)
-    spec = GaussianFlowSpec(dim=DIM, data_std=LAG_DATA_STD)
+    spec = GaussianData(dim=DIM, std=LAG_DATA_STD)
     for kind in PATH_KINDS:
         net = lag_nets[kind].net
         interp = make_interpolant(kind)

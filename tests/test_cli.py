@@ -79,15 +79,20 @@ class TestOracleCommands:
         assert code == EXIT_CHECK
         assert "inconclusive" in capsys.readouterr().err
 
-    def test_cross_term_with_boundaries(self, tmp_path):
+    def test_cross_term_with_boundaries(self, tmp_path, path="linear"):
         out = tmp_path / "ct.csv"
-        code = run_cli("oracle", "cross-term", "--dim", "16",
+        code = run_cli("oracle", "cross-term", "--dim", "16", "--path", path,
                        "--t", "0.0,0.25,0.5,0.75,1.0", "--n-mc", "20000",
                        "--out", str(out))
         assert code == EXIT_OK
         _, rows = read_csv(out)
         assert float(rows[0][1]) == 0.0
         assert float(rows[-1][1]) == 0.0
+
+    @pytest.mark.parametrize("path", ["vp", "gvp"])
+    def test_cross_term_with_boundaries_on_path(self, tmp_path, path):
+        """The closed form holds on every path, and --path reaches it."""
+        self.test_cross_term_with_boundaries(tmp_path, path)
 
     def test_rho_csv(self, tmp_path):
         out = tmp_path / "rho.csv"

@@ -17,7 +17,7 @@ from flowlag.diagnostics import (
     track_fld,
 )
 from flowlag.errors import CheckFailedError
-from flowlag.gaussian_oracle import GaussianFlowSpec, OracleField
+from flowlag.gaussian_oracle import OracleField
 from flowlag.interpolant import LinearPath
 from flowlag.solver import SolverSpec, integrate
 
@@ -121,7 +121,7 @@ class TestNormProfile:
     def test_oracle_profile_shape(self):
         """Midpoint collapses to zero and endpoints sit near sqrt(D)."""
         D = 64
-        spec = GaussianFlowSpec(dim=D)
+        spec = GaussianData(dim=D)
         ds = GaussianData(dim=D)
         field = OracleField(spec, LINEAR)
         times = np.array([0.001, 0.5, 0.999])
@@ -138,7 +138,7 @@ class TestNormProfile:
 
 class TestTrackFld:
     def _trajectory(self, data_std=2.0, nfe=400, n=4096, method="euler"):
-        spec = GaussianFlowSpec(dim=16, data_std=data_std)
+        spec = GaussianData(dim=16, std=data_std)
         field = OracleField(spec, LINEAR)
         sspec = SolverSpec(method=method, nfe=nfe, checkpoints=(0.2, 0.4, 0.6, 0.8, 1.0))
         return integrate(field, sspec, dim=16, n_particles=n, seed=4, interp=LINEAR)

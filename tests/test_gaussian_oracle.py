@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from flowlag.datasets import GaussianData
+from flowlag.datasets import GaussianData, make_dataset
 from flowlag.errors import ConfigError
 from flowlag.gaussian_oracle import (
-    GaussianFlowSpec,
     JensenGapResult,
     OracleField,
     conditional_means,
@@ -28,14 +27,14 @@ LINEAR = LinearPath()
 
 class TestVelocityCoefficient:
     def test_linear_unit_std_values(self):
-        spec = GaussianFlowSpec(dim=4, data_std=1.0)
+        spec = GaussianData(dim=4, std=1.0)
         assert float(velocity_coefficient(spec, LINEAR, 0.0)) == -1.0
         assert float(velocity_coefficient(spec, LINEAR, 1.0)) == 1.0
         assert float(velocity_coefficient(spec, LINEAR, 0.5)) == 0.0
 
     def test_linear_std_two_midpoint(self):
         # (0.5*4 - 0.5) / (0.25*4 + 0.25) = 1.2
-        spec = GaussianFlowSpec(dim=8, data_std=2.0)
+        spec = GaussianData(dim=8, std=2.0)
         np.testing.assert_allclose(float(velocity_coefficient(spec, LINEAR, 0.5)), 1.2, rtol=1e-15)
         x = np.ones(8)
         np.testing.assert_allclose(oracle_velocity(spec, LINEAR, x, 0.5), 1.2 * x, rtol=1e-15)
@@ -45,7 +44,7 @@ class TestVelocityCoefficient:
     def test_boundary_identities_exact(self, kind, data_std):
         """c(0) = d_sigma(0) and c(1) = d_alpha(1) to <= 1e-12 relative error."""
         interp = make_interpolant(kind)
-        spec = GaussianFlowSpec(dim=16, data_std=data_std)
+        spec = GaussianData(dim=16, std=data_std)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(16)
         for t, coeff_idx in ((0.0, 3), (1.0, 2)):
@@ -57,7 +56,7 @@ class TestVelocityCoefficient:
 
     def test_mc_regression_recovers_coefficient(self):
         """E[v_target | x_t] estimated from conditional pairs matches c(t) x."""
-        spec = GaussianFlowSpec(dim=6, data_std=2.0)
+        spec = GaussianData(dim=6, std=2.0)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(6)
         for t in (0.2, 0.5, 0.8):
@@ -71,7 +70,7 @@ class TestVelocityCoefficient:
 
 class TestConditionalStructure:
     def test_means_vanish_at_boundaries(self):
-        spec = GaussianFlowSpec(dim=5)
+        spec = GaussianData(dim=5)
         x = np.arange(1.0, 6.0)
         e1, e0 = conditional_means(spec, LINEAR, x, 0.0)
         np.testing.assert_array_equal(e1, np.zeros(5))
@@ -81,7 +80,7 @@ class TestConditionalStructure:
         np.testing.assert_array_equal(e1, x)
 
     def test_means_linear_midpoint(self):
-        spec = GaussianFlowSpec(dim=2)
+        spec = GaussianData(dim=2)
         x = np.array([1.0, 0.0])
         e1, e0 = conditional_means(spec, LINEAR, x, 0.5)
         np.testing.assert_allclose(e1, x, rtol=1e-15)
@@ -91,7 +90,7 @@ class TestConditionalStructure:
     def test_pair_sampler_hits_constraint_exactly(self, kind):
         """alpha x1 + sigma x0 must reconstruct the conditioning state."""
         interp = make_interpolant(kind)
-        spec = GaussianFlowSpec(dim=7, data_std=1.5)
+        spec = GaussianData(dim=7, std=1.5)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(7)
         for t in (0.1, 0.5, 0.9):
@@ -101,7 +100,7 @@ class TestConditionalStructure:
                                        np.broadcast_to(x, x1.shape), atol=1e-12)
 
     def test_pair_sampler_moments(self):
-        spec = GaussianFlowSpec(dim=3, data_std=2.0)
+        spec = GaussianData(dim=3, std=2.0)
         rng = np.random.default_rng(17)
         x = np.array([0.5, -1.0, 2.0])
         t = 0.3
@@ -121,20 +120,20 @@ class TestConditionalStructure:
 
 class TestCrossTerm:
     def test_zero_at_boundaries(self):
-        spec = GaussianFlowSpec(dim=4)
+        spec = GaussianData(dim=4)
         x = np.ones(4)
         assert cross_term_expectation(spec, LINEAR, x, 0.0) == 0.0
         assert cross_term_expectation(spec, LINEAR, x, 1.0) == 0.0
 
     def test_zero_on_typical_shell(self):
-        spec = GaussianFlowSpec(dim=16, data_std=1.3)
+        spec = GaussianData(dim=16, std=1.3)
         for t in (0.25, 0.5, 0.75):
             x = typical_shell_point(spec, LINEAR, t)
             np.testing.assert_allclose(cross_term_expectation(spec, LINEAR, x, t), 0.0, atol=1e-12)
 
     def test_hand_computed_value(self):
         # sd=1, D=4, t=1/2, x=(1,1,1,1): s^2=1/2, value = 1/4 * 2 * (8-4) = 2
-        spec = GaussianFlowSpec(dim=4, data_std=1.0)
+        spec = GaussianData(dim=4, std=1.0)
         val = cross_term_expectation(spec, LINEAR, np.ones(4), 0.5)
         np.testing.assert_allclose(val, 2.0, rtol=1e-15)
 
@@ -143,7 +142,7 @@ class TestCrossTerm:
         (1-t) t (sd^2/s^2) (||x||^2/s^2 - D)."""
         rng = np.random.default_rng(19)
         for sd in (0.5, 1.0, 2.0, 3.7):
-            spec = GaussianFlowSpec(dim=16, data_std=sd)
+            spec = GaussianData(dim=16, std=sd)
             for t in np.linspace(0.0, 1.0, 103):
                 t = float(t)
                 x = rng.standard_normal(16) * 1.3
@@ -157,7 +156,7 @@ class TestCrossTerm:
     def test_matches_conditional_monte_carlo(self, t, kind):
         """Closed form vs <x0, x1> averaged over exact conditional samples, on every path."""
         interp = make_interpolant(kind)
-        spec = GaussianFlowSpec(dim=16)
+        spec = GaussianData(dim=16)
         rng = np.random.default_rng(23)
         x = rng.standard_normal(16) * 1.2
         x0, x1 = conditional_pair_sample(spec, interp, x, t, 200_000, rng)
@@ -167,13 +166,13 @@ class TestCrossTerm:
 
     def test_population_mean_over_marginal_is_zero(self):
         """E over x_t ~ marginal of the cross-term vanishes at every t."""
-        spec = GaussianFlowSpec(dim=8, data_std=1.5)
+        spec = GaussianData(dim=8, std=1.5)
         rng = np.random.default_rng(29)
         for t in (0.2, 0.6):
             s2 = float(marginal_variance(spec, LINEAR, t))
             xs = rng.standard_normal((200_000, 8)) * np.sqrt(s2)
             xx = np.einsum("ij,ij->i", xs, xs)
-            vals = (1 - t) * t * (spec.data_std**2 / s2) * (xx / s2 - 8)
+            vals = (1 - t) * t * (spec.std**2 / s2) * (xx / s2 - 8)
             se = vals.std(ddof=1) / np.sqrt(len(vals))
             assert abs(vals.mean()) < 4.0 * se
 
@@ -184,7 +183,7 @@ class TestVelocityVariance:
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_matches_monte_carlo(self, kind):
         interp = make_interpolant(kind)
-        spec = GaussianFlowSpec(dim=12, data_std=1.5)
+        spec = GaussianData(dim=12, std=1.5)
         rng = np.random.default_rng(59)
         x = rng.standard_normal(12)
         n = 100_000
@@ -201,7 +200,7 @@ class TestVelocityVariance:
         """Given x_t the spread of v around v* does not depend on x_t: the same
         draws leave the same residuals at the origin and far from it."""
         interp = make_interpolant(kind)
-        spec = GaussianFlowSpec(dim=8, data_std=0.7)
+        spec = GaussianData(dim=8, std=0.7)
         far = 5.0 * np.random.default_rng(61).standard_normal(8)
         for t in (0.1, 0.5, 0.9):
             residuals = []
@@ -215,14 +214,14 @@ class TestVelocityVariance:
     @pytest.mark.parametrize("data_std", [0.5, 1.0, 2.0, 3.7])
     def test_linear_boundaries_are_the_missing_terms(self, data_std):
         """D sd^2 at t=0 (the signal v* cannot see) and D at t=1 (the noise)."""
-        spec = GaussianFlowSpec(dim=16, data_std=data_std)
+        spec = GaussianData(dim=16, std=data_std)
         assert velocity_variance(spec, LINEAR, 0.0) == 16 * data_std**2
         assert velocity_variance(spec, LINEAR, 1.0) == 16
 
     def test_zero_only_at_the_vp_convention_point(self):
         """vp's d_sigma(1) = 0 makes the target deterministic at t=1; every other
         grid point on every path keeps a positive gap."""
-        spec = GaussianFlowSpec(dim=64)
+        spec = GaussianData(dim=64)
         grid = np.linspace(0.0, 1.0, 101)
         for kind in PATH_KINDS:
             gaps = velocity_variance(spec, make_interpolant(kind), grid)
@@ -236,12 +235,12 @@ class TestVelocityVariance:
 
 class TestJensenGap:
     def test_requires_mc_budget(self):
-        spec = GaussianFlowSpec(dim=4)
+        spec = GaussianData(dim=4)
         with pytest.raises(ValueError):
             jensen_gap(spec, LINEAR, np.ones(4), 0.5, 10, np.random.default_rng(0))
 
     def test_strict_gap_in_interior(self):
-        spec = GaussianFlowSpec(dim=64)
+        spec = GaussianData(dim=64)
         rng = np.random.default_rng(41)
         for t in (0.1, 0.5, 0.9):
             x = typical_shell_point(spec, LINEAR, t)
@@ -250,7 +249,7 @@ class TestJensenGap:
             assert res.learned_energy < res.target_energy
 
     def test_midpoint_learned_energy_is_zero(self):
-        spec = GaussianFlowSpec(dim=64)
+        spec = GaussianData(dim=64)
         x = typical_shell_point(spec, LINEAR, 0.5)
         res = jensen_gap(spec, LINEAR, x, 0.5, 5_000, np.random.default_rng(2))
         assert res.learned_energy == 0.0
@@ -259,7 +258,7 @@ class TestJensenGap:
     def test_boundary_energies_match_missing_terms(self):
         """At t=0 the gap is D sd^2 (missing signal); at t=1 it is D (missing noise)."""
         D = 32
-        spec = GaussianFlowSpec(dim=D, data_std=1.0)
+        spec = GaussianData(dim=D, std=1.0)
         rng = np.random.default_rng(43)
         x = rng.standard_normal(D)
         r0 = jensen_gap(spec, LINEAR, x, 0.0, 100_000, rng)
@@ -273,7 +272,7 @@ class TestJensenGap:
     def test_mc_target_matches_closed_form(self, kind):
         """The MC estimate agrees with the analytic conditional energy."""
         interp = make_interpolant(kind)
-        spec = GaussianFlowSpec(dim=12, data_std=0.8)
+        spec = GaussianData(dim=12, std=0.8)
         rng = np.random.default_rng(47)
         x = rng.standard_normal(12)
         for t in (0.15, 0.5, 0.85):
@@ -293,7 +292,7 @@ class TestLossMinimizer:
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_perturbed_coefficient_increases_loss(self, t):
-        spec = GaussianFlowSpec(dim=16, data_std=1.0)
+        spec = GaussianData(dim=16, std=1.0)
         rng = np.random.default_rng(53)
         n = 100_000
         x0 = rng.standard_normal((n, 16))
@@ -339,29 +338,37 @@ class TestRhoStatistics:
 
 class TestOracleField:
     def test_callable_matches_function(self):
-        spec = GaussianFlowSpec(dim=4, data_std=1.0)
+        spec = GaussianData(dim=4, std=1.0)
         field = OracleField(spec, LINEAR)
         x = np.ones((3, 4))
         np.testing.assert_array_equal(field(x, 0.25), oracle_velocity(spec, LINEAR, x, 0.25))
 
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_takes_the_configured_dataset(self, kind):
+        """The oracle reads the GaussianData that a config's dataset block builds."""
+        interp = make_interpolant(kind)
+        field = OracleField(make_dataset({"kind": "gaussian", "dim": 8, "std": 2.0}), interp)
+        x = np.random.default_rng(3).standard_normal((5, 8))
+        for t in (0.0, 0.3, 0.7, 1.0):
+            c = velocity_coefficient(GaussianData(8, 2.0), interp, t)
+            np.testing.assert_array_equal(field(x, t), c * x)
+
     def test_dim_check(self):
-        spec = GaussianFlowSpec(dim=4)
+        spec = GaussianData(dim=4)
         with pytest.raises(ValueError):
             oracle_velocity(spec, LINEAR, np.ones(5), 0.5)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            GaussianFlowSpec(dim=0)
+            GaussianData(dim=0)
         with pytest.raises(ValueError):
-            GaussianFlowSpec(dim=4, data_std=0.0)
+            GaussianData(dim=4, std=0.0)
 
     @pytest.mark.parametrize("std", [np.inf, np.nan])
     def test_non_finite_std_refused(self, std):
-        """GaussianData owns the target's rules; the oracle spec checks through it."""
+        """The oracle's data type refuses a non-finite std."""
         with pytest.raises(ConfigError):
-            GaussianFlowSpec(dim=4, data_std=std)
-        with pytest.raises(ConfigError):
-            GaussianData(4, std)
+            GaussianData(dim=4, std=std)
 
     def test_rho_statistics_refuses_dim_zero(self):
         with pytest.raises(ConfigError):

@@ -8,9 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flowlag.datasets import GaussianData
 from flowlag.diagnostics import MomentStats, gaussian_reference, track_fld
 from flowlag.errors import ConfigError, NonFiniteVelocityError
-from flowlag.gaussian_oracle import GaussianFlowSpec, OracleField
+from flowlag.gaussian_oracle import OracleField
 from flowlag.interpolant import LinearPath, make_interpolant
 from flowlag.nn import Mlp
 from flowlag.rng import rng_for
@@ -87,6 +88,9 @@ class TestScaleSchedule:
     def test_infeasible_calibration(self):
         with pytest.raises(ValueError):
             calibrate_s_start("linear", s_end=0.0, target_area=-1.0)
+        for s_end, area in ((np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(ConfigError):
+                calibrate_s_start("linear", s_end=s_end, target_area=area)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -162,7 +166,7 @@ class TestSteps:
 
     def test_euler_one_step_oracle_jump(self):
         """One full-length step from pure noise lands at c(0) annihilation."""
-        spec = GaussianFlowSpec(dim=4, data_std=1.0)
+        spec = GaussianData(dim=4, std=1.0)
         field = OracleField(spec, LINEAR)
         x0 = np.random.default_rng(1).standard_normal((8, 4))
         out = euler_step(field, IDENTITY_SCHEDULE, x0.copy(), 0.0, 1.0)
@@ -187,7 +191,7 @@ class TestSteps:
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_em_zero_diffusion_reduces_to_euler_bitwise(self):
-        spec = GaussianFlowSpec(dim=3, data_std=1.0)
+        spec = GaussianData(dim=3, std=1.0)
         field = OracleField(spec, LINEAR)
         x = np.random.default_rng(2).standard_normal((16, 3))
         sched = ScaleSchedule("linear", 1.1, 1.0)
@@ -197,7 +201,7 @@ class TestSteps:
         np.testing.assert_array_equal(m, e)
 
     def test_em_deterministic_given_rng(self):
-        spec = GaussianFlowSpec(dim=3)
+        spec = GaussianData(dim=3)
         field = OracleField(spec, LINEAR)
         x = np.random.default_rng(3).standard_normal((8, 3))
         a = em_step(field, IDENTITY_SCHEDULE, LINEAR, x.copy(), 0.2, 0.1, np.random.default_rng(9))
@@ -206,7 +210,7 @@ class TestSteps:
 
     @pytest.mark.parametrize("schedule", [IDENTITY_SCHEDULE, ScaleSchedule("linear", 1.1, 1.0)],
                              ids=["identity", "linear"])
-    @pytest.mark.parametrize("field", [lambda x, t: x, OracleField(GaussianFlowSpec(dim=3), LINEAR)],
+    @pytest.mark.parametrize("field", [lambda x, t: x, OracleField(GaussianData(dim=3), LINEAR)],
                              ids=["returns-input", "oracle"])
     def test_direct_steps_leave_state_unchanged(self, field, schedule):
         """A step called without buffers leaves no state but x: it returns x itself,
@@ -224,7 +228,7 @@ class TestConvergenceOrder:
     """Euler is order 1, Heun order 2, on the exactly solvable oracle flow."""
 
     def _terminal_error(self, method, nfe):
-        spec = GaussianFlowSpec(dim=4, data_std=2.0)
+        spec = GaussianData(dim=4, std=2.0)
         field = OracleField(spec, LINEAR)
         x0 = np.full((1, 4), 0.7)
         sspec = SolverSpec(method=method, nfe=nfe, schedule=IDENTITY_SCHEDULE,
@@ -243,14 +247,14 @@ class TestConvergenceOrder:
 
 class TestIntegrate:
     def test_single_step_jump(self):
-        spec = GaussianFlowSpec(dim=4)
+        spec = GaussianData(dim=4)
         field = OracleField(spec, LINEAR)
         sspec = SolverSpec(method="euler", nfe=1, checkpoints=(1.0,))
         traj = integrate(field, sspec, dim=4, n_particles=16, seed=5)
         np.testing.assert_allclose(traj.states[-1], np.zeros((16, 4)), atol=1e-12)
 
     def test_five_checkpoints_recorded(self):
-        spec = GaussianFlowSpec(dim=2)
+        spec = GaussianData(dim=2)
         field = OracleField(spec, LINEAR)
         cps = (0.2, 0.4, 0.6, 0.8, 1.0)
         sspec = SolverSpec(method="euler", nfe=10, checkpoints=cps)
@@ -260,7 +264,7 @@ class TestIntegrate:
         assert all(s.shape == (32, 2) for s in traj.states)
 
     def test_checkpoint_snaps_to_nearest_node(self):
-        spec = GaussianFlowSpec(dim=2)
+        spec = GaussianData(dim=2)
         field = OracleField(spec, LINEAR)
         sspec = SolverSpec(method="euler", nfe=10, checkpoints=(0.33, 1.0))
         traj = integrate(field, sspec, dim=2, n_particles=4, seed=1)
@@ -268,7 +272,7 @@ class TestIntegrate:
 
     def test_identity_schedule_equivalence_bitwise(self):
         """(1.0, 1.0) endpoints reproduce the uncorrected run exactly."""
-        spec = GaussianFlowSpec(dim=8)
+        spec = GaussianData(dim=8)
         field = OracleField(spec, LINEAR)
         cps = (0.5, 1.0)
         for method in ("euler", "heun", "euler-maruyama"):
@@ -282,7 +286,7 @@ class TestIntegrate:
                 np.testing.assert_array_equal(sa, sb)
 
     def test_deterministic_per_seed(self):
-        spec = GaussianFlowSpec(dim=4)
+        spec = GaussianData(dim=4)
         field = OracleField(spec, LINEAR)
         sspec = SolverSpec(method="euler-maruyama", nfe=25, checkpoints=(1.0,))
         a = integrate(field, sspec, dim=4, n_particles=32, seed=3, interp=LINEAR)
@@ -293,7 +297,7 @@ class TestIntegrate:
     def test_em_terminal_variance_matches_target(self, kind):
         """High-NFE stochastic run reproduces the data marginal variance."""
         interp = make_interpolant(kind)
-        spec = GaussianFlowSpec(dim=16, data_std=1.5)
+        spec = GaussianData(dim=16, std=1.5)
         field = OracleField(spec, interp)
         sspec = SolverSpec(method="euler-maruyama", nfe=500, checkpoints=(1.0,))
         traj = integrate(field, sspec, dim=16, n_particles=4096, seed=11, interp=interp)
@@ -301,7 +305,7 @@ class TestIntegrate:
         np.testing.assert_allclose(var, 1.5**2, rtol=0.05)
 
     def test_em_requires_interpolant(self):
-        spec = GaussianFlowSpec(dim=2)
+        spec = GaussianData(dim=2)
         field = OracleField(spec, LINEAR)
         with pytest.raises(ConfigError):
             integrate(field, SolverSpec(method="euler-maruyama", nfe=4), dim=2,
@@ -377,10 +381,10 @@ class TestInPlaceIntegration:
 
     def _field(self, kind, n):
         if kind == "oracle-float64":
-            return OracleField(GaussianFlowSpec(dim=self.DIM, data_std=2.0), LINEAR)
+            return OracleField(GaussianData(dim=self.DIM, std=2.0), LINEAR)
         if kind == "mlp-float32":
             return _float32_net(self.DIM).forward
-        oracle, out = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR), np.empty((n, self.DIM))
+        oracle, out = OracleField(GaussianData(dim=self.DIM), LINEAR), np.empty((n, self.DIM))
 
         def field(x, t):   # reuses one output buffer
             out[...] = oracle(x, t)
@@ -422,7 +426,7 @@ class TestInPlaceIntegration:
     @pytest.mark.parametrize("nan_at_call", [None, 4])
     def test_integrate_starts_no_thread(self, nan_at_call):
         """Euler-Maruyama draws inline: no thread is left running, also after a raise."""
-        oracle = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
+        oracle = OracleField(GaussianData(dim=self.DIM), LINEAR)
         before = threading.active_count()
         seen = []
 
@@ -448,7 +452,7 @@ class TestInPlaceIntegration:
                 a, s, da, ds = super()._coefficients(t)
                 return a, (0.0 if 0.25 <= float(t) < 0.5 else s), da, ds
 
-        field = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
+        field = OracleField(GaussianData(dim=self.DIM), LINEAR)
         for method, diffusion in METHODS[2:]:
             self._assert_matches_reference(field, method, diffusion, SCHEDULES[1], interp=GappedPath())
 
@@ -491,7 +495,7 @@ class TestDirectSteps:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
     def test_em_step_equals_the_whole_array_expression(self, schedule, n):
-        field = OracleField(GaussianFlowSpec(dim=self.DIM, data_std=2.0), LINEAR)
+        field = OracleField(GaussianData(dim=self.DIM, std=2.0), LINEAR)
         x = np.random.default_rng(3).standard_normal((n, self.DIM))
         kept = x.copy()
         got = em_step(field, schedule, LINEAR, x, 0.3, 0.1, np.random.default_rng(7))
@@ -503,7 +507,7 @@ class TestDirectSteps:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_em_step_leaves_the_generator_where_one_whole_draw_does(self, n):
         """Noise drawn block by block in row order is the whole-array stream."""
-        field = OracleField(GaussianFlowSpec(dim=self.DIM), LINEAR)
+        field = OracleField(GaussianData(dim=self.DIM), LINEAR)
         x = np.random.default_rng(3).standard_normal((n, self.DIM))
         rng, whole = np.random.default_rng(11), np.random.default_rng(11)
         em_step(field, IDENTITY_SCHEDULE, LINEAR, x, 0.3, 0.1, rng)
@@ -542,7 +546,7 @@ class TestRecordedMoments:
     @pytest.mark.parametrize("method,diffusion", METHODS)
     @pytest.mark.parametrize("field_kind", ["oracle-float64", "mlp-float32"])
     def test_moments_match_the_copied_batches(self, field_kind, method, diffusion, schedule, n):
-        field = (OracleField(GaussianFlowSpec(dim=self.DIM, data_std=2.0), LINEAR)
+        field = (OracleField(GaussianData(dim=self.DIM, std=2.0), LINEAR)
                  if field_kind == "oracle-float64" else _float32_net(self.DIM).forward)
         spec = SolverSpec(method=method, nfe=self.NFE, schedule=schedule, diffusion=diffusion,
                           checkpoints=self.CHECKPOINTS)
@@ -612,7 +616,7 @@ class TestStepMemory:
 
 class TestTrajectoryContainer:
     def _example(self):
-        spec = GaussianFlowSpec(dim=3)
+        spec = GaussianData(dim=3)
         field = OracleField(spec, LINEAR)
         sspec = SolverSpec(method="euler", nfe=10, checkpoints=(0.5, 1.0))
         return integrate(field, sspec, dim=3, n_particles=17, seed=2)
@@ -683,7 +687,7 @@ class TestTrajectoryContainer:
 
     def test_checkpoints_snapped_to_one_node_roundtrip(self, tmp_path):
         """Two requested times may snap to one node: a repeated node time is legal."""
-        traj = integrate(OracleField(GaussianFlowSpec(dim=3), LINEAR),
+        traj = integrate(OracleField(GaussianData(dim=3), LINEAR),
                          SolverSpec(method="euler", nfe=10, checkpoints=(0.95, 1.0)),
                          dim=3, n_particles=17, seed=2)
         assert traj.node_times == (1.0, 1.0)

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from flowlag import solver, training
 from flowlag.errors import ConfigError, TrainingDivergedError
 from flowlag.interpolant import LinearPath, make_interpolant
 from flowlag.nn import Mlp
+from flowlag.solver import SCHEDULE_SHAPES
 from flowlag.training import (
+    TRAIN_CHOICES,
     TrainConfig,
     mafm_loss,
     mafm_weight,
@@ -55,7 +56,7 @@ class TestMafmWeight:
             assert np.all(mafm_weight(t, shape, 0.2) >= 0.0)
 
     def test_shapes_are_the_schedule_shapes(self):
-        assert training.MAFM_SHAPES is solver.SCHEDULE_SHAPES
+        assert TRAIN_CHOICES["mafm_shape"] is SCHEDULE_SHAPES
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -66,6 +67,9 @@ class TestMafmWeight:
             mafm_weight(1.5, "linear", 0.2)
         with pytest.raises(ValueError):
             mafm_weight([0.5, np.nan], "linear", 0.2)
+        for lam0 in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                mafm_weight([0.0, 0.5, 1.0], "linear", lam0)
 
     @pytest.mark.parametrize("shape", ["linear", "cosine", "quad-in", "quad-out"])
     def test_is_the_scaled_schedule_bump(self, shape):
