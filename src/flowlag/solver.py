@@ -157,8 +157,8 @@ def _blocks(x, work, vtype):
         yield (slice(i, i + n), *(b[:n] for b in buffers))
 
 
-def scaled_velocity(field, schedule: ScaleSchedule, x, t: float):
-    """gamma(t) * field(x, t), the literal per-call correction.
+def scaled_velocity(field, schedule: ScaleSchedule | None, x, t: float):
+    """gamma(t) * field(x, t), the literal per-call correction; field(x, t) if schedule is None.
 
     When gamma(t) is exactly 1 this returns the field's own array, since
     1.0 * v equals v bit for bit; callers must not write into it.
@@ -169,13 +169,13 @@ def scaled_velocity(field, schedule: ScaleSchedule, x, t: float):
         raise NonFiniteVelocityError(
             f"velocity field returned {n_bad} non-finite values at t={t} (max |x| {x_max:.6g})",
             t=float(t), state_summary={"x_max_abs": x_max, "n_bad": n_bad})
-    gamma = float(schedule.gamma(t))
+    gamma = 1.0 if schedule is None else float(schedule.gamma(t))
     return v if gamma == 1.0 else v * gamma
 
 
 def _velocity(field, schedule: ScaleSchedule, x, t: float):
-    """(field(x, t), gamma(t)), for a step that applies gamma block by block."""
-    return scaled_velocity(field, IDENTITY_SCHEDULE, x, t), float(schedule.gamma(t))
+    """(field(x, t), gamma(t)) for blockwise steps; traces count field calls in scaled_velocity."""
+    return scaled_velocity(field, None, x, t), float(schedule.gamma(t))
 
 
 def _euler_update(x, v, gamma: float, dt: float, work):

@@ -49,6 +49,8 @@ def mafm_weight(t, shape: str = "linear", lam0: float = 0.2):
     area that of the shape's unit bump, down to 0: it vanishes at t=1 so the
     late-time contraction of the learned field is never penalized.
     """
+    if not 0.0 <= lam0 < np.inf:
+        raise ConfigError(f"lam0 must be finite and nonnegative, got {lam0}")
     start = lam0 * (0.5 / ScaleSchedule(shape, 1.0, 0.0).area())
     return ScaleSchedule(shape, start, 0.0).gamma(t)
 

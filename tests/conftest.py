@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from flowlag import cli
 from flowlag.training import TrainConfig, train
 
 
@@ -13,6 +14,13 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if item.path.name == "test_acceptance.py":
             item.add_marker(pytest.mark.acceptance)
+
+
+@pytest.fixture(autouse=True)
+def empty_floor_memo():
+    """Every test starts with no lag-sweep floor kept, so test order decides no cell and a
+    test that replaces cli.integrate leaves nothing for a later one."""
+    cli._floor_memo.clear()
 
 
 @pytest.fixture(scope="session")

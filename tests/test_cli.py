@@ -19,9 +19,11 @@ from flowlag.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_OVERSHOOT, EXIT_R
 from flowlag.datasets import DATASETS
 from flowlag.errors import CheckFailedError
 from flowlag.interpolant import PATH_KINDS
+from flowlag.nn import load_checkpoint, save_checkpoint
 from flowlag.reporting import read_csv, write_csv
 from flowlag.schema import REQUIRED, params_of
 from flowlag.solver import load_trajectory
+from flowlag.training import TrainConfig, train
 
 
 def run_cli(*argv):
@@ -530,6 +532,102 @@ class TestLagSweep:
         assert not (out / "lag_sweep.csv").exists()
         if bad[0] == "--checkpoints":
             assert "end at 1.0" in capsys.readouterr().err
+
+
+class TestFloorMemo:
+    """The lag-sweep floor is integrated once per process for sweeps that share checkpoint
+    bytes, floor SolverSpec, particles and seed, and kept as its one read-only memo entry."""
+
+    FLOOR_NFE = 40
+    BASE = ("--particles", "256", "--floor-nfe", str(FLOOR_NFE), "--s-start", "1.0,1.1")
+
+    @pytest.fixture
+    def floor_calls(self, monkeypatch):
+        """The floor SolverSpecs (nfe >= FLOOR_NFE; the sweeps' --nfe are lower) that reach
+        cli.integrate, which still runs."""
+        calls, integrate = [], cli.integrate
+
+        def counted(field, spec, *args, **kwargs):
+            if spec.nfe >= self.FLOOR_NFE:
+                calls.append(spec)
+            return integrate(field, spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate", counted)
+        return calls
+
+    def sweep(self, checkpoint, out, *argv) -> dict:
+        """Run one sweep; its lag_sweep.csv and summary.txt bytes."""
+        options = dict(zip(self.BASE[::2], self.BASE[1::2]))
+        options.update(zip(argv[::2], argv[1::2]))
+        code = run_cli("lag-sweep", "--checkpoint", str(checkpoint),
+                       *(word for pair in options.items() for word in pair), "--out", str(out))
+        assert code in (EXIT_OK, EXIT_OVERSHOOT)
+        return {name: (out / name).read_bytes() for name in ("lag_sweep.csv", "summary.txt")}
+
+    def test_one_floor_for_repeated_sweeps(self, tiny_run, tmp_path, floor_calls):
+        """--nfe 10, 20, 10 integrate the floor once, and each sweep writes the bytes
+        of the same sweep run with the memo emptied."""
+        budgets = ("10", "20", "10")
+        kept = [self.sweep(tiny_run.checkpoint_path, tmp_path / f"kept{i}", "--nfe", nfe)
+                for i, nfe in enumerate(budgets)]
+        assert len(floor_calls) == 1
+        for i, nfe in enumerate(budgets):
+            cli._floor_memo.clear()
+            fresh = self.sweep(tiny_run.checkpoint_path, tmp_path / f"fresh{i}", "--nfe", nfe)
+            assert kept[i] == fresh
+        assert len(floor_calls) == 1 + len(budgets)
+        assert kept[0] == kept[2] and kept[0] != kept[1]
+
+    @pytest.mark.parametrize("change,floors", [
+        ("retrained", 2), ("--seed", 2), ("--particles", 2), ("--method", 2),
+        ("--floor-nfe", 2), ("--checkpoints", 2),
+        ("copied", 1), ("--nfe", 1), ("--s-start", 1)])
+    def test_key_fields_decide_a_hit(self, tmp_path, floor_calls, change, floors):
+        """A change of checkpoint bytes (retrained in place), seed, particles, method, floor
+        budget or recording times recomputes the floor; a byte-equal copy of the checkpoint
+        at another path, another --nfe or another --s-start reuses it."""
+        def trained(seed):
+            config = TrainConfig(dataset={"kind": "gaussian", "dim": 4}, steps=50,
+                                 batch_size=64, hidden=(16, 16), log_every=50, seed=seed)
+            return train(config, out_dir=tmp_path / "net").checkpoint_path
+
+        checkpoint = trained(1)
+        first = self.sweep(checkpoint, tmp_path / "first")
+        argv = {"--seed": ("--seed", "3"), "--particles": ("--particles", "300"),
+                "--method": ("--method", "heun"), "--floor-nfe": ("--floor-nfe", "41"),
+                "--checkpoints": ("--checkpoints", "0.5,1.0"), "--nfe": ("--nfe", "12"),
+                "--s-start": ("--s-start", "1.0,1.2")}.get(change, ())
+        if change == "retrained":
+            assert trained(2) == checkpoint
+        elif change == "copied":
+            checkpoint = tmp_path / "copy.npz"
+            checkpoint.write_bytes((tmp_path / "net" / "checkpoint.npz").read_bytes())
+        second = self.sweep(checkpoint, tmp_path / "second", *argv)
+        assert len(floor_calls) == floors
+        if change == "copied":
+            assert second == first
+        cli._floor_memo.clear()
+        assert self.sweep(checkpoint, tmp_path / "fresh", *argv) == second
+
+    def test_floor_fault_stores_nothing(self, tiny_run, tmp_path, capsys):
+        """A floor that raises NonFiniteVelocityError exits 4 and leaves the memo empty."""
+        path = tmp_path / "nan.npz"
+        ck = load_checkpoint(tiny_run.checkpoint_path)
+        ck.net.parameters()[f"b{len(ck.net.hidden)}"][0] = np.nan
+        save_checkpoint(path, ck.net, extra=ck.extra)
+        assert run_cli("lag-sweep", "--checkpoint", str(path), *self.BASE,
+                       "--out", str(tmp_path / "s")) == EXIT_RUNTIME
+        assert "NonFiniteVelocityError" in capsys.readouterr().err
+        assert cli._floor_memo == {}
+
+    def test_kept_moments_are_read_only(self, tiny_run, tmp_path):
+        self.sweep(tiny_run.checkpoint_path, tmp_path / "s")
+        ((_, spec, _, _), traj), = cli._floor_memo.items()
+        assert spec.nfe == self.FLOOR_NFE and len(traj.states) == len(spec.checkpoints)
+        for stats in traj.states:
+            assert not stats.mean.flags.writeable and not stats.cov.flags.writeable
+            with pytest.raises(ValueError):
+                stats.cov[0, 0] = 0.0
 
 
 class TestRunExperiment:

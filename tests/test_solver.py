@@ -151,6 +151,28 @@ class TestScaledVelocity:
         assert exc.value.state_summary["n_bad"] == 4
         assert "returned 4 non-finite values at t=0.25 (max |x| 1)" in str(exc.value)
 
+    def test_no_schedule_returns_the_checked_field_output(self):
+        """schedule None is the steps' call: the field's own array, still checked for
+        finiteness, and no gamma is evaluated."""
+        v = np.arange(6.0).reshape(3, 2)
+        assert scaled_velocity(lambda x, t: v, None, v, 0.5) is v
+        with pytest.raises(NonFiniteVelocityError):
+            scaled_velocity(lambda x, t: np.full_like(x, np.inf), None, v, 0.5)
+
+    @pytest.mark.parametrize("step", [euler_step, heun_step, em_step])
+    def test_steps_evaluate_gamma_once_per_stage(self, step, monkeypatch):
+        """Each field call costs one gamma evaluation, that of the step's schedule."""
+        calls, gamma = [], ScaleSchedule.gamma
+        monkeypatch.setattr(ScaleSchedule, "gamma",
+                            lambda self, t: calls.append(self) or gamma(self, t))
+        sched = ScaleSchedule("linear", 1.1, 1.0)
+        field, x = (lambda x, t: -x), np.ones((4, 3))
+        if step is em_step:
+            em_step(field, sched, LinearPath(), x, 0.25, 0.25, np.random.default_rng(0))
+        else:
+            step(field, sched, x, 0.25, 0.25)
+        assert calls == [sched] * (2 if step is heun_step else 1)
+
 
 class TestSteps:
     def test_euler_identity_schedule_is_classic(self):

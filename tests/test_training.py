@@ -71,6 +71,13 @@ class TestMafmWeight:
             with pytest.raises(ConfigError):
                 mafm_weight([0.0, 0.5, 1.0], "linear", lam0)
 
+    @pytest.mark.parametrize("lam0", [np.nan, -1.0, np.inf])
+    def test_bad_lam0_is_named(self, lam0):
+        """The refusal names lam0 and its value, not the schedule built from it."""
+        with pytest.raises(ConfigError) as exc:
+            mafm_weight(0.5, "linear", lam0)
+        assert str(exc.value) == f"lam0 must be finite and nonnegative, got {lam0}"
+
     @pytest.mark.parametrize("shape", ["linear", "cosine", "quad-in", "quad-out"])
     def test_is_the_scaled_schedule_bump(self, shape):
         """Each weight is lam0/2 over the bump's area times the solver's bump, bit for bit."""
