@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .datasets import GaussianData, make_dataset
-from .diagnostics import (REFERENCE_SAMPLES, FldReport, MomentStats, lag_improvement, node_fld,
-                          norm_profile, reference_from_dataset, split_half_fld, track_fld)
+from .diagnostics import (REFERENCE_SAMPLES, FldReport, MomentStats, lag_improvement,
+                          norm_profile, reference_from_dataset, track_fld)
 from .errors import CheckFailedError, ConfigError
 from .gaussian_oracle import (conditional_pair_sample, cross_term_expectation, jensen_gap,
                               marginal_variance, require_n_mc, rho_statistics,
@@ -209,16 +209,13 @@ def _dispatch(exp: Experiment, params: dict, seed: int, out) -> int:
 # -- helpers ----------------------------------------------------------------
 
 
-def _load_net(path):
-    with open(path, "rb") as fh:   # hash the bytes, then parse them from the same handle;
-        digest = hashlib.sha256(fh.read()).digest()   # freed first, they leave no heap hole
-        fh.seek(0)
-        ck = load_checkpoint(fh)
+def _load_net(source):
+    """(checkpoint, its interpolant, its train config) from ``source``, a path or an open file."""
+    ck = load_checkpoint(source)
     train_config = ck.extra.get("train_config")
     if train_config is None:
-        raise ConfigError(f"checkpoint {path} carries no train config")
-    interp = make_interpolant(train_config["path"])
-    return ck, interp, train_config, digest
+        raise ConfigError(f"checkpoint {getattr(source, 'name', source)} carries no train config")
+    return ck, make_interpolant(train_config["path"]), train_config
 
 
 def _reference(spec, seed: int):
@@ -340,7 +337,7 @@ def _oracle_rho(params, seed, out) -> int:
 
 
 def _diagnose_norm(params, seed, out) -> int:
-    ck, interp, train_config, _ = _load_net(params["checkpoint"])
+    ck, interp, train_config = _load_net(params["checkpoint"])
     dataset = make_dataset(train_config["dataset"])
     try:
         start, stop, count = params["grid"].split(":")
@@ -361,13 +358,14 @@ def _diagnose_fld(params, seed, out) -> int:
         raise ConfigError(f"trajectory {params['traj']} has dimension {dim}, "
                           f"but the reference {ref_id} has dimension {reference.dim}")
     report = track_fld(traj, reference, reference_id=ref_id)
-    # noise floor from a same-size synthetic draw against itself
-    rng = rng_for(seed, "fld:floor")
-    chol = np.linalg.cholesky(reference.cov + 1e-12 * np.eye(reference.dim))
-    synth = reference.mean + rng.standard_normal((2 * n, reference.dim)) @ chol.T
-    floor = split_half_fld(synth)
-    rows = [(t, v, floor) for t, v in zip(report.times, report.values)]
-    _report(out, ("t", "value", "split_half_floor"), rows)
+    # sampling floor: n reference draws scored as the nodes are; an empirical reference,
+    # fit on k draws, carries sampling noise, so they meet a fresh fit on k draws
+    k, chol = reference.n_samples, np.linalg.cholesky(reference.cov + 1e-12 * np.eye(dim))
+    synth = reference.mean + rng_for(seed, "fld:floor").standard_normal((n + k, dim)) @ chol.T
+    floor_reference = MomentStats.from_samples(synth[n:]) if k else reference
+    floor = track_fld(((1.0,), [synth[:n]]), floor_reference, reference_id=ref_id)
+    rows = [(t, v, floor.terminal) for t, v in zip(report.times, report.values)]
+    _report(out, ("t", "value", "sampling_floor"), rows)
     return EXIT_OK
 
 
@@ -407,12 +405,10 @@ def _diagnose_lag(params, seed, out) -> int:
 
 
 def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
-    """Cross product of step budgets and injection scales, with a
-    high-step floor run; returns the overshoot exit code when no
-    s_start > 1 strictly improves the terminal distance at t = 1.
-
-    Below the s_start rows come two contrasts: the same injection at the
-    end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05).
+    """Each cell's track_fld report, over step budgets x injection scales and a high-step
+    floor; the overshoot exit code unless some s_start > 1 has a positive terminal
+    lag_improvement over the baseline.  Below the s_start rows come two contrasts: the
+    same injection at the end of the run (1.0 -> 1.1) and a constant scale (1.05 -> 1.05).
     Every cell is checked before the first one is integrated.  Later sweeps in this
     process take the floor's node moments from _floor_memo when its key matches."""
     n = _at_least(params, "particles", 2)
@@ -435,11 +431,14 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
     cells = [(label, SolverSpec(method=params["method"], nfe=nfe, schedule=schedule,
                                 checkpoints=checkpoints)) for nfe, label, schedule in table]
 
-    ck, interp, train_config, digest = _load_net(params["checkpoint"])
+    with open(params["checkpoint"], "rb") as fh:   # the memo key hashes the bytes parsed;
+        digest = hashlib.sha256(fh.read()).digest()   # freed first, they leave no heap hole
+        fh.seek(0)
+        ck, interp, train_config = _load_net(fh)
     reference, ref_id = _reference(train_config["dataset"], seed)
     out_dir = Path(out_dir)
     header = ["nfe", "label", "s_start", "s_end"] + [f"fld_at_{t:g}" for t in checkpoints]
-    rows = []
+    reports = []
     for label, spec in cells:
         traj = _floor_memo.get((digest, spec, n, seed))
         if traj is None:
@@ -451,24 +450,24 @@ def run_lag_sweep(params: dict, seed: int, out_dir) -> int:
                     stats.mean.flags.writeable = stats.cov.flags.writeable = False
                 _floor_memo.clear()
                 _floor_memo[digest, spec, n, seed] = traj
-        rows.append([spec.nfe, label, spec.schedule.s_start, spec.schedule.s_end,
-                     *(node_fld(stats, reference, t) for t, stats in zip(*traj))])
-    write_csv(out_dir / "lag_sweep.csv", header, rows)
+        reports.append(track_fld(traj, reference, reference_id=ref_id))
+    write_csv(out_dir / "lag_sweep.csv", header,
+              [[spec.nfe, label, spec.schedule.s_start, spec.schedule.s_end, *report.values]
+               for (label, spec), report in zip(cells, reports)])
 
-    floor = rows[0][-1]
-    primary_nfe = params["nfe"][0]
-    primary = {row[1]: row[-1] for row in rows[1:1 + len(schedules)]}  # label -> terminal
+    floor, primary_nfe = reports[0].terminal, params["nfe"][0]
+    primary = dict(zip((label for label, _ in schedules), reports[1:]))   # at the first --nfe
     baseline = primary["baseline"]
-    ratio = baseline / max(floor, 1e-300)
+    ratio = baseline.terminal / max(floor, 1e-300)
     improving = [label for label, schedule in injected
-                 if schedule.s_start > 1.0 and primary[label] < baseline]
-    best_label = min(primary, key=primary.get)
+                 if schedule.s_start > 1.0 and lag_improvement(baseline, primary[label])[-1] > 0]
+    best_label = min(primary, key=lambda label: primary[label].terminal)
     summary_lines = [f"reference: {ref_id}",
                      f"floor (nfe={params['floor_nfe']}): terminal FLD {floor:.6g}",
                      f"baseline (nfe={primary_nfe}): terminal FLD "
-                     f"{baseline:.6g} ({ratio:.2f}x the floor)",
+                     f"{baseline.terminal:.6g} ({ratio:.2f}x the floor)",
                      f"best cell at nfe={primary_nfe}: {best_label} "
-                     f"(terminal FLD {primary[best_label]:.6g})"]
+                     f"(terminal FLD {primary[best_label].terminal:.6g})"]
     if improving:
         summary_lines.append("improving s_start rows: " + ", ".join(improving))
     else:

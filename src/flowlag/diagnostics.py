@@ -75,12 +75,14 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues in [-1e-8, 0) are treated as rounding noise and clipped;
-    anything more negative (or an asymmetric input) is an error.  The
-    reconstruction S @ S = m is checked to 1e-8 ||m||: CheckFailedError if not.
+    anything more negative (or an asymmetric or non-finite input) is an error.
+    The reconstruction S @ S = m is checked to 1e-8 ||m||: CheckFailedError if not.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix square root needs a square matrix")
+    if not np.all(np.isfinite(m)):   # NaN would pass every bound check below
+        raise ValueError("matrix square root needs finite entries")
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.T)) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
@@ -196,9 +198,10 @@ def node_fld(stats: MomentStats, reference: MomentStats, t: float) -> float:
 
 
 def track_fld(traj: Trajectory, reference: MomentStats, reference_id: str = "target") -> FldReport:
-    """node_fld at every checkpoint of ``traj``, any (times, batches) pair: a
-    Trajectory as integrated or as loaded from a file."""
-    values = [node_fld(MomentStats.from_samples(batch), reference, t) for t, batch in zip(*traj)]
+    """node_fld at every node of ``traj``, as integrated or loaded from a file: of a node
+    recorded as MomentStats as it is, of a batch by its MomentStats.from_samples."""
+    values = [node_fld(s if isinstance(s, MomentStats) else MomentStats.from_samples(s),
+                       reference, t) for t, s in zip(*traj)]
     return FldReport(times=tuple(traj[0]), values=np.array(values), reference_id=reference_id)
 
 

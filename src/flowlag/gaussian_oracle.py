@@ -45,10 +45,10 @@ def marginal_variance(data: GaussianData, interp: Interpolant, t):
 def velocity_coefficient(data: GaussianData, interp: Interpolant, t):
     """Scalar c(t) with v*(x, t) = c(t) x.
 
-    The sigma * d_sigma product stays finite at t=1 for every supported
-    path (d_sigma is finite there by construction), so no limit handling
-    is needed: at the boundaries c(0) = d_sigma(0) and c(1) = d_alpha(1)
-    hold exactly.
+    At the boundaries c(0) = d_sigma(0) and c(1) = d_alpha(1) on every path.
+    On vp, c(1) = d_alpha(1) ~ 0.0503 is the convention d_sigma(1) = 0, not the
+    limit: sigma * d_sigma -> -d_alpha(1) as t -> 1, so c(t) -> d_alpha(1) (1 -
+    1/data_std^2), which is 0 at data_std 1, 0.0378 at 2 and -503 at 0.01.
     """
     a, s, da, ds, s2 = _law(data, interp, t)
     return (da * a * data.std**2 + ds * s) / s2

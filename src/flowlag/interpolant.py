@@ -124,8 +124,8 @@ class VpPath(Interpolant):
     shifted and rescaled to (e(t) - e(0)) / (1 - e(0)); sigma =
     sqrt(1 - alpha^2) then hits both endpoints exactly.  d_sigma has an
     integrable singularity at t=1 (sigma ~ sqrt(1-t) there); at exactly
-    t=1 we return 0.0, which is the only value consistent with the
-    products sigma * d_sigma -> finite that downstream formulas use.
+    t=1 we return 0.0, a convention and not the limit: sigma * d_sigma =
+    -alpha * d_alpha tends to -d_alpha(1) (see ``velocity_coefficient``).
     Finite-difference consistency is only claimed on the open interior.
     """
 

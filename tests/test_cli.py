@@ -16,13 +16,15 @@ import pytest
 import flowlag
 from flowlag import cli, solver
 from flowlag.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_OVERSHOOT, EXIT_RUNTIME, main
-from flowlag.datasets import DATASETS
+from flowlag.datasets import DATASETS, make_dataset
+from flowlag.diagnostics import lag_improvement, reference_from_dataset, track_fld
 from flowlag.errors import CheckFailedError
-from flowlag.interpolant import PATH_KINDS
+from flowlag.interpolant import PATH_KINDS, make_interpolant
 from flowlag.nn import load_checkpoint, save_checkpoint
 from flowlag.reporting import read_csv, write_csv
 from flowlag.schema import REQUIRED, params_of
-from flowlag.solver import load_trajectory
+from flowlag.solver import (IDENTITY_SCHEDULE, SolverSpec, Trajectory, integrate,
+                            load_trajectory, parse_schedule, save_trajectory)
 from flowlag.training import TrainConfig, train
 
 
@@ -196,7 +198,7 @@ class TestDiagnoseCommands:
         assert header == ["t", "value"]
         assert len(rows) == 5
         header, _ = read_csv(base_csv)
-        assert header == ["t", "value", "split_half_floor"]
+        assert header == ["t", "value", "sampling_floor"]
         for csv in (base_csv, corr_csv):
             manifest = json.loads(Path(f"{csv}.json").read_text())
             assert manifest["experiment"] == "diagnose-fld"
@@ -261,6 +263,26 @@ class TestDiagnoseCommands:
             assert manifest["experiment"] == "diagnose-fld"
             assert (manifest["config"]["traj"], manifest["config"]["reference"]) \
                 == (str(tmp_path / f"{name}.bin"), reference)
+
+    def test_sampling_floor_is_the_node_sampling_bias(self, tmp_path):
+        """n reference draws are scored as the nodes are: against the analytic reference
+        their distance averages D(D+1)sd^2/4n + D sd^2/n, within 3 standard errors."""
+        dim, sd, n = 16, 1.0, 4096
+        traj = tmp_path / "t.bin"
+        batch = np.random.default_rng(0).standard_normal((n, dim))
+        save_trajectory(traj, Trajectory((1.0,), [batch]))
+        floors = []
+        for seed in range(8):
+            out = tmp_path / f"fld{seed}.csv"
+            assert run_cli("diagnose", "fld", "--traj", str(traj), "--reference",
+                           f"gaussian:{dim}:{sd}", "--seed", str(seed),
+                           "--out", str(out)) == EXIT_OK
+            header, rows = read_csv(out)
+            assert header[2] == "sampling_floor"
+            floors.append(float(rows[0][2]))
+        closed = dim * (dim + 1) * sd**2 / (4 * n) + dim * sd**2 / n
+        stderr = np.std(floors, ddof=1) / np.sqrt(len(floors))
+        assert abs(np.mean(floors) - closed) < 3 * stderr
 
     def test_fld_refuses_a_reference_of_another_dimension(self, fld_inputs, tmp_path, capsys):
         out = tmp_path / "fld.csv"
@@ -458,6 +480,33 @@ class TestLagSweep:
         else:
             assert "improving s_start rows" in summary
         assert (out / "manifest.json").exists()
+
+    def test_rows_are_track_fld_of_each_cell(self, tiny_run, tmp_path):
+        """Each CSV row is track_fld of its cell integrated directly, and the improving rows
+        are the s_start > 1 ones with a positive terminal lag_improvement."""
+        out = tmp_path / "sweep"
+        code = run_cli("lag-sweep", "--checkpoint", str(tiny_run.checkpoint_path),
+                       "--nfe", "6", "--particles", "256", "--floor-nfe", "40",
+                       "--s-start", "1.0,1.05,1.3", "--seed", "3", "--out", str(out))
+        _, rows = read_csv(out / "lag_sweep.csv")
+        ck = load_checkpoint(tiny_run.checkpoint_path)
+        train_config = ck.extra["train_config"]
+        reference = reference_from_dataset(make_dataset(train_config["dataset"]), seed=3)
+        reports = {}
+        for row in rows:
+            schedule = (IDENTITY_SCHEDULE if row[1] in ("floor", "baseline")
+                        else parse_schedule(row[1]))
+            spec = SolverSpec(method="euler", nfe=int(row[0]), schedule=schedule,
+                              checkpoints=(0.2, 0.4, 0.6, 0.8, 1.0))
+            traj = integrate(ck.net.forward, spec, dim=ck.net.dim, n_particles=256, seed=3,
+                             interp=make_interpolant(train_config["path"]))
+            reports[row[1]] = track_fld(traj, reference)
+            assert [float(v) for v in row[4:]] == reports[row[1]].values.tolist()
+        improving = [label for label in ("linear:1.05:1.0", "linear:1.3:1.0")
+                     if lag_improvement(reports["baseline"], reports[label])[-1] > 0]
+        summary = (out / "summary.txt").read_text()
+        assert code == (EXIT_OK if improving else EXIT_OVERSHOOT)
+        assert ("improving s_start rows: " + ", ".join(improving) in summary) == bool(improving)
 
     def test_require_lag_ratio_can_fail(self, tiny_run, tmp_path):
         code = run_cli("lag-sweep", "--checkpoint", str(tiny_run.checkpoint_path),

@@ -19,6 +19,7 @@ from flowlag.diagnostics import (
 from flowlag.errors import CheckFailedError
 from flowlag.gaussian_oracle import OracleField
 from flowlag.interpolant import LinearPath
+from flowlag.nn import Mlp
 from flowlag.solver import SolverSpec, integrate
 
 LINEAR = LinearPath()
@@ -48,6 +49,15 @@ class TestSqrtm:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
             sqrtm_psd(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        """NaN passes every `x > bound` check, so one non-finite entry is refused before
+        the eigendecomposition rather than giving an all-NaN root."""
+        m = np.diag([4.0, 9.0, 1.0])
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sqrtm_psd(m)
 
     def test_reconstruction_is_always_checked(self, monkeypatch):
         """A slightly scaled eigenbasis gives a root whose square misses m by 4e-6 ||m||."""
@@ -168,6 +178,23 @@ class TestTrackFld:
         report = track_fld(loaded, gaussian_reference(16, std=2.0), "analytic")
         direct = track_fld(traj, gaussian_reference(16, std=2.0), "analytic")
         np.testing.assert_allclose(report.values, direct.values, rtol=1e-3, atol=1e-3)
+
+    @pytest.mark.parametrize("method", ["euler", "heun"])
+    @pytest.mark.parametrize("field_kind", ["oracle-float64", "mlp-float32"])
+    def test_recorded_moments_score_as_the_batches(self, field_kind, method):
+        """track_fld of a run recorded with MomentStats.from_samples equals, bit for bit,
+        track_fld of the same run recorded as batch copies."""
+        field = (OracleField(GaussianData(dim=16, std=2.0), LINEAR)
+                 if field_kind == "oracle-float64"
+                 else Mlp.create(16, hidden=(32, 32), rng=np.random.default_rng(5),
+                                 dtype=np.float32).forward)
+        spec = SolverSpec(method=method, nfe=8, checkpoints=(0.0, 0.5, 1.0))
+        copied, reduced = (
+            track_fld(integrate(field, spec, dim=16, n_particles=600, seed=3, interp=LINEAR,
+                                record=record), gaussian_reference(16, std=2.0), "analytic")
+            for record in (np.copy, MomentStats.from_samples))
+        assert reduced.times == copied.times
+        assert reduced.values.tobytes() == copied.values.tobytes()
 
     def test_small_batch_warns(self):
         rng = np.random.default_rng(6)

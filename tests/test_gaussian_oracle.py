@@ -54,6 +54,20 @@ class TestVelocityCoefficient:
             scale = max(np.linalg.norm(expected), 1e-300)
             assert err <= 1e-12 * scale or err == 0.0
 
+    @pytest.mark.parametrize("data_std,limit", [(1.0, 0.0), (2.0, 0.03775), (0.01, -503.26)])
+    def test_vp_value_at_one_is_a_convention_beside_its_limit(self, data_std, limit):
+        """On vp, c(1) = d_alpha(1) = 0.0503 at every std, while c(t) -> d_alpha(1) (1 -
+        1/std^2) as t -> 1: the solver and any closed form share the one c(1)."""
+        vp, spec = make_interpolant("vp"), GaussianData(dim=4, std=data_std)
+        d_alpha = float(vp.d_alpha(1.0))
+        assert round(d_alpha, 4) == 0.0503
+        # (d_alpha std^2) / std^2 rounds to within one ulp of d_alpha
+        assert abs(float(velocity_coefficient(spec, vp, 1.0)) - d_alpha) <= np.spacing(d_alpha)
+        exact = d_alpha * (1.0 - 1.0 / data_std**2)
+        assert exact == pytest.approx(limit, rel=1e-4, abs=0.0)
+        near = float(velocity_coefficient(spec, vp, 1.0 - 1e-8))
+        assert near == pytest.approx(exact, rel=1e-4, abs=1e-9)
+
     def test_mc_regression_recovers_coefficient(self):
         """E[v_target | x_t] estimated from conditional pairs matches c(t) x."""
         spec = GaussianData(dim=6, std=2.0)
