@@ -157,35 +157,32 @@ class Mlp:
         return acts
 
     def _rows(self, x, t):
-        """(x as (N, D) rows, t as an array, whether x was one vector), checked."""
+        """(x, t as an array), checked: x must be an (N, D) batch, t a scalar or one per row."""
         x = np.asarray(x)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.dim:
-            raise ValueError(f"expected state dimension {self.dim}, got {x.shape[1]}")
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"expected an (N, {self.dim}) batch of states, got shape {x.shape}")
         t = np.asarray(t, dtype=np.float64)
         if t.ndim != 0 and t.shape != (x.shape[0],):
             raise ValueError("time must be scalar or one value per row")
-        return x, t, squeeze
+        return x, t
 
     def forward(self, x, t):
         """Velocity prediction, in row blocks; deterministic for fixed parameters."""
-        x, t, squeeze = self._rows(x, t)
+        x, t = self._rows(x, t)
         out = np.empty((len(x), self.dim), dtype=self.dtype)
         n_blocks = -(-len(x) // _FORWARD_ROWS) or 1   # an empty batch is one block
         units = -(-len(x) // _ROW_GRAIN)
         edges = [min(len(x), _ROW_GRAIN * (units * k // n_blocks)) for k in range(n_blocks + 1)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             self._block(x[lo:hi], t if t.ndim == 0 else t[lo:hi], self._buffer, out[lo:hi])
-        return out[0] if squeeze else out
+        return out
 
     def forward_cached(self, x, t):
         """(output, activations) in one pass; the activations are ``backward``'s cache."""
-        x, t, squeeze = self._rows(x, t)
+        x, t = self._rows(x, t)
         out = np.empty((len(x), self.dim), dtype=self.dtype)
         acts = self._block(x, t, lambda key, rows, cols: np.empty((rows, cols), self.dtype), out)
-        return (out[0] if squeeze else out), acts
+        return out, acts
 
     def backward(self, acts, grad_out) -> dict:
         """Parameter gradients given d(loss)/d(output), an (N, D) array.

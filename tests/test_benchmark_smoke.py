@@ -30,8 +30,14 @@ class ToyLagSweep(workloads.LagSweepWorkload):
     CKPT_STEPS = 20
 
 
-@pytest.mark.parametrize("workload", [ToyOracleSweep, ToyLagSweep],
-                         ids=["oracle-sweep", "lag-sweep"])
+class ToyTrain(workloads.TrainWorkload):
+    """50 steps a share: each job's mean logged loss still sits below its zero-field loss."""
+    STEPS_PER_SHARE = 50
+    WARMUP_STEPS = 2
+
+
+@pytest.mark.parametrize("workload", [ToyOracleSweep, ToyLagSweep, ToyTrain],
+                         ids=["oracle-sweep", "lag-sweep", "train"])
 def test_one_round_passes_its_checks(workload, tmp_path):
     bench = workload(seed=0, work_dir=tmp_path)
     bench.setup()

@@ -860,6 +860,23 @@ class TestRunExperiment:
         assert manifest["config"]["nfe"] == 50
         assert not (out_dir / "sample.bin").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "fld", "--traj", "{dir}", "--reference", "gaussian:4:1.0"],
+        ["diagnose", "fld", "--traj", "{file}/x", "--reference", "gaussian:4:1.0"],
+        ["diagnose", "norm", "--checkpoint", "{dir}"],
+        ["lag-sweep", "--checkpoint", "{dir}", "--nfe", "4", "--particles", "16"],
+        ["sample", "--checkpoint", "{dir}", "--nfe", "4"]],
+        ids=["fld-dir", "fld-under-a-file", "norm-dir", "lag-sweep-dir", "sample-dir"])
+    def test_input_path_of_the_wrong_kind_exits_2(self, tmp_path, capsys, argv):
+        """A directory where a file is read, or a path through a file, is a config
+        problem, as a missing file is; it names the path."""
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "dir").mkdir()
+        argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path) in err
+
     @pytest.mark.parametrize("bad", [{"nfe": "25"}, {"s_start": 1.1}, {"nfe": [10.7]},
                                      {"particles": True}, ["--nfe", "10.7"]])
     def test_ill_typed_lag_sweep_fields_exit_2(self, tiny_run, tmp_path, bad):

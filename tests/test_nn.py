@@ -61,7 +61,7 @@ class TestForward:
         net = Mlp.create(dim=3, hidden=(4,), rng=np.random.default_rng(23), n_time_pairs=2)
         net.weights[-1][:] = 0.0
         net.skip[:] = [0.5, 1.0, -2.0, 0.25, 3.0]
-        x = np.array([1.0, -2.0, 0.5])
+        x = np.array([[1.0, -2.0, 0.5]])
         scale = 0.5 + net.time_embedding(0.3) @ net.skip[1:]
         np.testing.assert_allclose(net.forward(x, 0.3), scale * x, rtol=1e-14)
         np.testing.assert_array_equal(net.forward_cached(x, 0.3)[0], net.forward(x, 0.3))
@@ -109,22 +109,22 @@ class TestForward:
     def test_golden_vector_pinned(self):
         """Frozen output of a fixed tiny net; guards against silent drift."""
         net = Mlp.create(dim=2, hidden=(4, 3), rng=np.random.default_rng(0), n_time_pairs=2)
-        out = net.forward(np.array([1.0, 0.0]), 0.5)
+        out = net.forward(np.array([[1.0, 0.0]]), 0.5)
         np.testing.assert_allclose(
-            out, [0.25769710339865626, -0.18091911886770068], rtol=0, atol=1e-15)
+            out, [[0.25769710339865626, -0.18091911886770068]], rtol=0, atol=1e-15)
 
-    def test_single_vector_and_batch_agree(self):
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 3, 1), (2, 2)])
+    def test_both_passes_take_only_row_batches(self, shape):
+        """A one-vector input is refused, naming the (N, D) shape, as is any other shape."""
         net = Mlp.create(dim=3, hidden=(8,), rng=np.random.default_rng(5))
-        x = np.array([0.5, -0.25, 1.0])
-        single = net.forward(x, 0.6)
-        batch = net.forward(x[None, :], 0.6)
-        assert single.shape == (3,)
-        np.testing.assert_array_equal(single, batch[0])
+        for run in (net.forward, net.forward_cached):
+            with pytest.raises(ValueError, match=r"expected an \(N, 3\) batch"):
+                run(np.ones(shape), 0.6)
 
     def test_rejects_nonfinite_input(self):
         net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(6))
         with pytest.raises(ValueError):
-            net.forward(np.array([np.nan, 0.0]), 0.5)
+            net.forward(np.array([[np.nan, 0.0]]), 0.5)
 
     def test_input_that_overflows_the_net_dtype_is_rejected(self):
         net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(6), dtype=np.float32)
@@ -143,9 +143,9 @@ class TestForward:
             b[:] = rng.uniform(-0.5, 0.5, b.shape)
         net.skip[:] = rng.uniform(-0.5, 0.5, net.skip.shape)
         inputs = []
-        for n in (8192, 7, None, 8192):
-            x = rng.standard_normal(6 if n is None else (n, 6))
-            t = rng.uniform(0.0, 1.0, 1 if n is None else n) if per_row_t else 0.4
+        for n in (8192, 7, 1, 8192):
+            x = rng.standard_normal((n, 6))
+            t = rng.uniform(0.0, 1.0, n) if per_row_t else 0.4
             inputs.append((x, t))
         outputs, expected = [], []
         for x, t in inputs:
@@ -186,9 +186,9 @@ class TestForward:
             b[:] = rng.uniform(-0.5, 0.5, b.shape)
         net.skip[:] = rng.uniform(-0.5, 0.5, net.skip.shape)
         blk = _FORWARD_ROWS
-        for n in (None, 7, blk - 1, blk, blk + 1, blk + 7, 2 * blk + 1, 3 * blk - 1, 8192, 8200):
-            x = rng.standard_normal(64 if n is None else (n, 64))
-            t = rng.uniform(0.0, 1.0, 1 if n is None else n) if per_row_t else 0.3
+        for n in (1, 7, blk - 1, blk, blk + 1, blk + 7, 2 * blk + 1, 3 * blk - 1, 8192, 8200):
+            x = rng.standard_normal((n, 64))
+            t = rng.uniform(0.0, 1.0, n) if per_row_t else 0.3
             out = net.forward(x, t)
             np.testing.assert_array_equal(out, net.forward_cached(x, t)[0], err_msg=f"{n} rows")
             assert not any(np.shares_memory(out, buf) for buf in net._buffers.values())
@@ -277,15 +277,6 @@ class TestBackward:
         net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(14))
         with pytest.raises(ValueError):
             net.backward({"bogus": True}, np.zeros((1, 2)))
-
-    def test_backward_takes_the_caches_row_shape(self):
-        """A vector input gives a vector output, but its gradient has the cache's (1, D) shape."""
-        net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(15))
-        out, cache = net.forward_cached(np.ones(2), 0.1)
-        assert out.shape == (2,)
-        with pytest.raises(ValueError):
-            net.backward(cache, np.zeros(2))
-        assert net.backward(cache, np.zeros((1, 2)))["W0"].shape == net.weights[0].shape
 
     def test_backward_shape_check(self):
         net = Mlp.create(dim=2, hidden=(4,), rng=np.random.default_rng(15))

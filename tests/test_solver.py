@@ -1,5 +1,6 @@
 """Schedule algebra, corrected steppers, convergence orders, trajectory IO."""
 
+import dataclasses
 import math
 import struct
 import threading
@@ -19,6 +20,7 @@ from flowlag.solver import (
     _BLOCK_ROWS,
     IDENTITY_SCHEDULE,
     SCHEDULE_SHAPES,
+    SOLVER_METHODS,
     ScaleSchedule,
     SolverSpec,
     Trajectory,
@@ -213,14 +215,16 @@ class TestSteps:
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_em_zero_diffusion_reduces_to_euler_bitwise(self):
-        spec = GaussianData(dim=3, std=1.0)
-        field = OracleField(spec, LINEAR)
-        x = np.random.default_rng(2).standard_normal((16, 3))
+        field = OracleField(GaussianData(dim=3, std=1.0), LINEAR)
+        x0 = np.random.default_rng(2).standard_normal((16, 3))
         sched = ScaleSchedule("linear", 1.1, 1.0)
-        e = euler_step(field, sched, x.copy(), 0.4, 0.05)
-        m = em_step(field, sched, LINEAR, x.copy(), 0.4, 0.05, np.random.default_rng(0),
-                    diffusion="zero")
-        np.testing.assert_array_equal(m, e)
+
+        def run(**rule):
+            spec = SolverSpec(nfe=20, schedule=sched, checkpoints=(0.4, 1.0), **rule)
+            return integrate(field, spec, dim=3, n_particles=16, interp=LINEAR, x0=x0).states
+
+        for e, m in zip(run(method="euler"), run(method="euler-maruyama", diffusion="zero")):
+            np.testing.assert_array_equal(m, e)
 
     def test_em_deterministic_given_rng(self):
         spec = GaussianData(dim=3)
@@ -347,6 +351,17 @@ class TestIntegrate:
                 SolverSpec(checkpoints=nan)
         with pytest.raises(ConfigError):
             SolverSpec(diffusion="full")
+
+    def test_score_clamp_is_a_constant_not_a_field(self):
+        """perfbench's em_moments reads t_min and diffusion; no spec can set t_min."""
+        assert SolverSpec().t_min == SolverSpec.t_min == 1e-3
+        assert SolverSpec().diffusion == "sigma"
+        assert [f.name for f in dataclasses.fields(SolverSpec)] == [
+            "method", "nfe", "schedule", "checkpoints", "diffusion"]
+        with pytest.raises(TypeError):
+            SolverSpec(t_min=0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SolverSpec().t_min = 0.01
 
 
 def _reference_integrate(field, spec, x0, seed, interp):
@@ -501,12 +516,12 @@ def _reference_step(method, field, schedule, x, t, dt, rng=None, diffusion="sigm
     return x + (v + 0.5 * w * w * score) * dt + w * math.sqrt(dt) * rng.standard_normal(x.shape)
 
 
-def _direct_step(method, field, schedule, x, t, dt, rng, diffusion="sigma"):
+def _direct_step(method, field, schedule, x, t, dt, rng):
     if method == "euler":
         return euler_step(field, schedule, x, t, dt)
     if method == "heun":
         return heun_step(field, schedule, x, t, dt)
-    return em_step(field, schedule, LINEAR, x, t, dt, rng, diffusion=diffusion)
+    return em_step(field, schedule, LINEAR, x, t, dt, rng)
 
 
 class TestDirectSteps:
@@ -537,20 +552,18 @@ class TestDirectSteps:
         assert rng.bit_generator.state == whole.bit_generator.state
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=["identity", "linear"])
-    @pytest.mark.parametrize("method,diffusion", METHODS)
+    @pytest.mark.parametrize("method", SOLVER_METHODS)
     @pytest.mark.parametrize("field_dtype", [np.float32, np.float64])
     def test_multi_block_step_updates_x_to_the_whole_array_step(self, field_dtype, method,
-                                                                diffusion, schedule):
+                                                                schedule):
         """Two row blocks through the step's own buffers, for a float32 or float64 field."""
         def field(x, t):
             return (np.sin(x) + t).astype(field_dtype)
 
         x = np.random.default_rng(5).standard_normal((_BLOCK_ROWS + 3, self.DIM))
         kept = x.copy()
-        got = _direct_step(method, field, schedule, x, 0.3, 0.1, np.random.default_rng(2),
-                           diffusion)
-        want = _reference_step(method, field, schedule, kept, 0.3, 0.1, np.random.default_rng(2),
-                               diffusion)
+        got = _direct_step(method, field, schedule, x, 0.3, 0.1, np.random.default_rng(2))
+        want = _reference_step(method, field, schedule, kept, 0.3, 0.1, np.random.default_rng(2))
         assert got is x
         assert got.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(got, want)
@@ -770,3 +783,53 @@ class TestTrajectoryContainer:
             tracemalloc.stop()
         budget = batch.nbytes + 2 * n * dim * 8 + (1 << 20)
         assert peak <= budget, (peak / 2**20, budget / 2**20)
+
+
+def _oracle_growth(method, kind, schedule, nfe, data_std):
+    """G with x_N = G x_0 for the exact field from x_0 = ones((1, 64)), every coordinate alike."""
+    interp = make_interpolant(kind)
+    spec = SolverSpec(method=method, nfe=nfe, schedule=schedule)
+    x_n = integrate(OracleField(GaussianData(64, data_std), interp), spec, dim=64, n_particles=1,
+                    x0=np.ones((1, 64))).states[-1]
+    assert np.all(x_n == x_n[0, 0])
+    return float(x_n[0, 0])
+
+
+class TestStartEndAsymmetry:
+    """Terminal FLD 64 (G - 2)^2 of the exact std=2 field at nfe 10, pinned per schedule.
+
+    The rows: baseline, start injection 1.1 and 1.2, end injection 1.1, and both ends 1.05.
+    """
+
+    ROWS = ("constant-one", "linear:1.1:1.0", "linear:1.2:1.0", "linear:1.0:1.1",
+            "linear:1.05:1.05")
+    EXPECTED = {
+        ("euler", "linear"): (4.906, 4.394, 3.921, 2.674, 3.486),
+        ("heun", "linear"): (0.009, 0.035, 0.224, 0.540, 0.211),
+        ("euler", "vp"): (0.550, 0.179, 0.010, 0.014, 0.073),
+        ("euler", "gvp"): (0.333, 0.000, 0.338, 0.027, 0.007),
+    }
+
+    def _flds(self, method, kind):
+        return {row: 64 * (_oracle_growth(method, kind, parse_schedule(row), 10, 2.0) - 2) ** 2
+                for row in self.ROWS}
+
+    @pytest.mark.parametrize("method,kind", list(EXPECTED))
+    def test_terminal_fld_per_schedule(self, method, kind):
+        flds = self._flds(method, kind)
+        np.testing.assert_allclose([flds[row] for row in self.ROWS], self.EXPECTED[method, kind],
+                                   rtol=0, atol=1e-3)
+
+    def test_end_injection_wins_under_euler_and_start_injection_under_heun(self):
+        start, end = "linear:1.1:1.0", "linear:1.0:1.1"
+        euler, heun = self._flds("euler", "linear"), self._flds("heun", "linear")
+        assert euler[end] < euler[start]
+        assert heun[start] < heun[end]
+
+
+def test_vp_heun_at_nfe_5_sees_the_oracles_value_at_one():
+    """On std=1 data v* = 0 for t < 1, but Heun's last stage sees c(1) = d_alpha(1), not the
+    limit 0: G = 1.005033, a terminal FLD of 0.00162 at D=64, where the limit would give G = 1."""
+    g = _oracle_growth("heun", "vp", IDENTITY_SCHEDULE, 5, 1.0)
+    assert g == pytest.approx(1.005033075289601, rel=1e-12, abs=0)
+    assert 64 * (g - 1) ** 2 == pytest.approx(0.00162, abs=5e-6)

@@ -106,7 +106,7 @@ class TestFmLoss:
         acc = 0.0
         for i in range(len(t)):
             xt = LINEAR.sample_xt(x0[i], x1[i], t[i])
-            v = net.forward(xt, t[i])
+            v = net.forward(xt[None, :], t[i])[0]
             resid = v - (x1[i] - x0[i])
             acc += float(resid @ resid)
         np.testing.assert_allclose(loss, acc / len(t), rtol=1e-12)
@@ -165,7 +165,7 @@ class TestMafmLoss:
         acc_fm, acc_mag = 0.0, 0.0
         for i in range(len(t)):
             xt = LINEAR.sample_xt(x0[i], x1[i], t[i])
-            v = net.forward(xt, t[i])
+            v = net.forward(xt[None, :], t[i])[0]
             resid = v - (x1[i] - x0[i])
             acc_fm += float(resid @ resid)
             lam = 0.2 * (1.0 - t[i])
