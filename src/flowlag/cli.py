@@ -65,8 +65,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return int(args.func(args) or EXIT_OK)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as exc:
+    except (ConfigError, json.JSONDecodeError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CheckFailedError as exc:

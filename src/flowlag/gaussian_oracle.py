@@ -68,15 +68,15 @@ def velocity_variance(data: GaussianData, interp: Interpolant, t):
 def oracle_velocity(data: GaussianData, interp: Interpolant, x, t):
     """Exact conditional-mean velocity E[v_target | x_t = x] = c(t) x."""
     x = _asarray_dim(x, data.dim)
-    return _bcast(velocity_coefficient(data, interp, t), x) * x
+    return _bcast(velocity_coefficient(data, interp, t)) * x
 
 
 def conditional_means(data: GaussianData, interp: Interpolant, x, t):
     """(E[x1 | x_t = x], E[x0 | x_t = x]); both are scalar multiples of x."""
     x = _asarray_dim(x, data.dim)
     a, s, _, _, s2 = _law(data, interp, t)
-    e1 = _bcast(a * data.std**2 / s2, x) * x
-    e0 = _bcast(s / s2, x) * x
+    e1 = _bcast(a * data.std**2 / s2) * x
+    e0 = _bcast(s / s2) * x
     return e1, e0
 
 

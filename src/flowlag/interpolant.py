@@ -1,8 +1,8 @@
 """Probability paths between noise and data.
 
-A path provides the scalar coefficient functions ``alpha(t)``/``sigma(t)``
-and their time derivatives on t in [0, 1], with the convention that t=0
-is pure noise and t=1 is data:
+A path provides the scalar coefficients alpha(t), sigma(t) and their
+time derivatives on t in [0, 1] through ``coefficients(t)``, with the
+convention that t=0 is pure noise and t=1 is data:
 
     x_t = alpha(t) * x1 + sigma(t) * x0
     v_target(t) = d_alpha(t) * x1 + d_sigma(t) * x0
@@ -40,7 +40,7 @@ def _check_pair(x0, x1):
     return x0, x1
 
 
-def _bcast(coeff, x):
+def _bcast(coeff):
     """Align a scalar-or-(B,) coefficient with a (..., D) state array."""
     c = np.asarray(coeff)
     if c.ndim == 0:
@@ -65,29 +65,26 @@ class Interpolant:
         """(alpha, sigma, d_alpha, d_sigma) at time t."""
         return self._coefficients(_check_time(t))
 
-    def alpha(self, t):
-        return self.coefficients(t)[0]
-
-    def sigma(self, t):
+    def sigma(self, t):   # outside tests only perfbench/checks.py reads it
         return self.coefficients(t)[1]
 
-    def d_alpha(self, t):
+    def d_alpha(self, t):   # outside tests only perfbench/checks.py reads it
         return self.coefficients(t)[2]
 
-    def d_sigma(self, t):
+    def d_sigma(self, t):   # outside tests only perfbench/checks.py reads it
         return self.coefficients(t)[3]
 
     def sample_xt(self, x0, x1, t):
         """State on the path: alpha(t) * x1 + sigma(t) * x0."""
         x0, x1 = _check_pair(x0, x1)
         a, s, _, _ = self._coefficients(_check_time(t))
-        return _bcast(a, x1) * x1 + _bcast(s, x0) * x0
+        return _bcast(a) * x1 + _bcast(s) * x0
 
     def target_velocity(self, x0, x1, t):
         """Conditional target velocity: d_alpha(t) * x1 + d_sigma(t) * x0."""
         x0, x1 = _check_pair(x0, x1)
         _, _, da, ds = self._coefficients(_check_time(t))
-        return _bcast(da, x1) * x1 + _bcast(ds, x0) * x0
+        return _bcast(da) * x1 + _bcast(ds) * x0
 
 
 class LinearPath(Interpolant):

@@ -31,25 +31,21 @@ from .rng import rng_for
 
 SOLVER_METHODS = ("euler", "heun", "euler-maruyama")
 
-# integral over [0,1] of each shape's decay bump (1 at t=0, 0 at t=1)
-_BUMP_AREA = {"linear": 0.5, "cosine": 0.5, "quad-in": 2.0 / 3.0, "quad-out": 1.0 / 3.0}
-SCHEDULE_SHAPES = tuple(_BUMP_AREA)   # the decay shapes of the corrector and of MAFM's weight
-
-
-def _bump(shape: str, t):
-    """The decay bump of ``shape`` (one of SCHEDULE_SHAPES) at times ``t``."""
-    if shape == "linear":
-        return 1.0 - t
-    if shape == "cosine":
-        return 0.5 * (1.0 + np.cos(np.pi * t))
-    if shape == "quad-in":
-        return 1.0 - t * t
-    return (1.0 - t) ** 2  # quad-out
+# each decay shape's bump (1 at t=0, 0 at t=1, >= 0 between) and the bump's integral over [0, 1]
+_SHAPES = {
+    "linear": (lambda t: 1.0 - t, 0.5),
+    "cosine": (lambda t: 0.5 * (1.0 + np.cos(np.pi * t)), 0.5),
+    "quad-in": (lambda t: 1.0 - t * t, 2.0 / 3.0),
+    "quad-out": (lambda t: (1.0 - t) ** 2, 1.0 / 3.0),
+}
+SCHEDULE_SHAPES = tuple(_SHAPES)   # the decay shapes of the corrector and of MAFM's weight
 
 
 @dataclass(frozen=True)
 class ScaleSchedule:
-    """Velocity multiplier gamma(t) with endpoints (s_start, s_end)."""
+    """Velocity multiplier gamma(t) = s_end + (s_start - s_end) * bump(t) on [0, 1].
+
+    The bump of ``shape`` and its closed-form area both come from ``_SHAPES``."""
 
     shape: str = "linear"
     s_start: float = 1.0
@@ -65,14 +61,14 @@ class ScaleSchedule:
         """Multiplier at time t, exact at the endpoints.  Equal endpoints give exactly
         s_end everywhere: every bump is finite and >= 0 on [0, 1] (cos(pi) is -1)."""
         t = _check_time(t)
-        val = self.s_end + (self.s_start - self.s_end) * _bump(self.shape, t)
+        val = self.s_end + (self.s_start - self.s_end) * _SHAPES[self.shape][0](t)
         # pin endpoint values exactly (the affine form can be off by 1 ulp)
         val = np.where(t == 0.0, self.s_start, np.where(t == 1.0, self.s_end, val))
         return val if val.ndim else np.float64(val)
 
     def area(self) -> float:
         """Closed-form integral of gamma over [0, 1]."""
-        return self.s_end + (self.s_start - self.s_end) * _BUMP_AREA[self.shape]
+        return self.s_end + (self.s_start - self.s_end) * _SHAPES[self.shape][1]
 
     def describe(self) -> str:
         return f"{self.shape}:{self.s_start:g}:{self.s_end:g}"
@@ -85,7 +81,7 @@ def calibrate_s_start(shape: str, s_end: float, target_area: float) -> float:
     """s_start giving the requested integral of gamma, closed form per shape."""
     if shape not in SCHEDULE_SHAPES:
         raise ConfigError(f"cannot calibrate shape {shape!r}")
-    s_start = s_end + (target_area - s_end) / _BUMP_AREA[shape]
+    s_start = s_end + (target_area - s_end) / _SHAPES[shape][1]
     if not 0.0 <= s_start < np.inf:
         raise ConfigError(f"target area {target_area} is infeasible for shape {shape} "
                           f"with s_end {s_end}")
@@ -155,11 +151,12 @@ def _blocks(x, work, vtype):
         yield (slice(i, i + n), *(b[:n] for b in buffers))
 
 
-def scaled_velocity(field, schedule: ScaleSchedule | None, x, t: float):
-    """gamma(t) * field(x, t), the literal per-call correction; field(x, t) if schedule is None.
+def scaled_velocity(field, schedule: ScaleSchedule, x, t: float):
+    """(field(x, t), gamma(t)): one stage's checked field call and its multiplier.
 
-    When gamma(t) is exactly 1 this returns the field's own array, since
-    1.0 * v equals v bit for bit; callers must not write into it.
+    v is the field's own array; the steps apply gamma to it block by block,
+    so gamma * v is the applied velocity.  A non-finite value in v raises
+    NonFiniteVelocityError with t, the count of bad values and max |x|.
     """
     v = np.asarray(field(x, t))
     if not np.all(np.isfinite(v)):
@@ -167,13 +164,7 @@ def scaled_velocity(field, schedule: ScaleSchedule | None, x, t: float):
         raise NonFiniteVelocityError(
             f"velocity field returned {n_bad} non-finite values at t={t} (max |x| {x_max:.6g})",
             t=float(t), state_summary={"x_max_abs": x_max, "n_bad": n_bad})
-    gamma = 1.0 if schedule is None else float(schedule.gamma(t))
-    return v if gamma == 1.0 else v * gamma
-
-
-def _velocity(field, schedule: ScaleSchedule, x, t: float):
-    """(field(x, t), gamma(t)) for blockwise steps; traces count field calls in scaled_velocity."""
-    return scaled_velocity(field, None, x, t), float(schedule.gamma(t))
+    return v, float(schedule.gamma(t))
 
 
 def _euler_update(x, v, gamma: float, dt: float, work):
@@ -185,7 +176,8 @@ def _euler_update(x, v, gamma: float, dt: float, work):
 
 def euler_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
     """x + gamma(t) v(x, t) dt."""
-    return _euler_update(x, *_velocity(field, schedule, x, t), dt, _workspace(x, False, work))
+    v, gamma = scaled_velocity(field, schedule, x, t)
+    return _euler_update(x, v, gamma, dt, _workspace(x, False, work))
 
 
 def heun_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=None):
@@ -195,13 +187,13 @@ def heun_step(field, schedule: ScaleSchedule, x, t: float, dt: float, *, work=No
     the first call returned, so the step scales it into its own array.
     """
     work = _workspace(x, True, work)
-    v, gamma = _velocity(field, schedule, x, t)
+    v, gamma = scaled_velocity(field, schedule, x, t)
     vtype = np.result_type(v, dt)
     v1, x_pred = _view(work[3], vtype), work[4]
     for r, _, b, _ in _blocks(x, work, vtype):
         np.add(x[r], np.multiply(np.multiply(v[r], gamma, out=v1[r]), dt, out=b), out=x_pred[r])
     del v   # one (N, D) array less while the field runs again
-    v, gamma = _velocity(field, schedule, x_pred, t + dt)
+    v, gamma = scaled_velocity(field, schedule, x_pred, t + dt)
     for r, _, b, _ in _blocks(x, work, np.result_type(v1, v, dt)):
         dv = np.add(v1[r], np.multiply(v[r], gamma, out=b), out=b)
         np.add(x[r], np.multiply(dv, 0.5 * dt, out=dv), out=x[r])
@@ -220,8 +212,8 @@ def em_step(field, schedule: ScaleSchedule, interp: Interpolant, x, t: float, dt
     Noise is drawn block by block in row order: the stream of one whole draw.
     """
     work = _workspace(x, False, work)
-    v, gamma = _velocity(field, schedule, x, t)
-    w, t_min = float(interp.sigma(t)), SolverSpec.t_min
+    v, gamma = scaled_velocity(field, schedule, x, t)
+    w, t_min = float(interp.coefficients(t)[1]), SolverSpec.t_min
     if w == 0.0:
         return _euler_update(x, v, gamma, dt, work)
     a, s, da, ds = (float(c) for c in interp.coefficients(min(max(t, t_min), 1.0 - t_min)))

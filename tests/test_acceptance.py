@@ -237,12 +237,12 @@ def _ssc_clauses(interp, data_std):
     x = rng.standard_normal((64, 16))
     scaling_ok = step_ok = True
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        v = field(x, t)
-        v_hat = scaled_velocity(field, sched, x, t)
-        g = float(sched.gamma(t))
-        # elementwise the correction is the literal product; the norm
-        # identity then holds to the rounding of the norm reduction itself
-        if not np.array_equal(v_hat, g * v):
+        v, g = scaled_velocity(field, sched, x, t)
+        v_hat = g * v
+        # a stage's checked call gives the field's output and gamma(t); the
+        # correction is their literal product, and the norm identity then
+        # holds to the rounding of the norm reduction itself
+        if not (np.array_equal(v, field(x, t)) and g == float(sched.gamma(t))):
             scaling_ok = False
         # the solver applies gamma itself, block by block: the step that
         # sampling runs must carry the same literal product

@@ -861,21 +861,31 @@ class TestRunExperiment:
         assert not (out_dir / "sample.bin").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["diagnose", "fld", "--traj", "{dir}", "--reference", "gaussian:4:1.0"],
-        ["diagnose", "fld", "--traj", "{file}/x", "--reference", "gaussian:4:1.0"],
-        ["diagnose", "norm", "--checkpoint", "{dir}"],
-        ["lag-sweep", "--checkpoint", "{dir}", "--nfe", "4", "--particles", "16"],
-        ["sample", "--checkpoint", "{dir}", "--nfe", "4"]],
-        ids=["fld-dir", "fld-under-a-file", "norm-dir", "lag-sweep-dir", "sample-dir"])
-    def test_input_path_of_the_wrong_kind_exits_2(self, tmp_path, capsys, argv):
-        """A directory where a file is read, or a path through a file, is a config
-        problem, as a missing file is; it names the path."""
+        ["diagnose", "fld", "--traj", "{dir}", "--reference", "gaussian:4:1.0", "--out", "{out}"],
+        ["diagnose", "fld", "--traj", "{file}/x", "--reference", "gaussian:4:1.0",
+         "--out", "{out}"],
+        ["diagnose", "norm", "--checkpoint", "{dir}", "--out", "{out}"],
+        ["lag-sweep", "--checkpoint", "{dir}", "--nfe", "4", "--particles", "16", "--out", "{out}"],
+        ["sample", "--checkpoint", "{dir}", "--nfe", "4", "--out", "{out}"],
+        ["oracle", "rho", "--dim", "4", "--pairs", "10000", "--out", "{file}/x.csv"],
+        ["sample", "--checkpoint", "{ckpt}", "--nfe", "4", "--particles", "16",
+         "--out", "{file}/t.bin"],
+        ["lag-sweep", "--checkpoint", "{ckpt}", "--nfe", "4", "--particles", "16",
+         "--floor-nfe", "10", "--out", "{file}"]],
+        ids=["fld-dir", "fld-under-a-file", "norm-dir", "lag-sweep-dir", "sample-dir",
+             "csv-out-under-a-file", "bin-out-under-a-file", "dir-out-is-a-file"])
+    def test_path_of_the_wrong_kind_exits_2(self, tiny_run, tmp_path, capsys, argv):
+        """A directory where a file is read, or a path through a file, read or written
+        (one output of each kind: csv, bin and directory), is a config problem, as a
+        missing file is; it names the path and leaves the file as it was."""
         (tmp_path / "file").write_text("x")
         (tmp_path / "dir").mkdir()
-        argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in argv]
-        assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file", out=tmp_path / "out",
+                         ckpt=tiny_run.checkpoint_path) for a in argv]
+        assert run_cli(*argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(tmp_path) in err
+        assert (tmp_path / "file").read_text() == "x"
 
     @pytest.mark.parametrize("bad", [{"nfe": "25"}, {"s_start": 1.1}, {"nfe": [10.7]},
                                      {"particles": True}, ["--nfe", "10.7"]])

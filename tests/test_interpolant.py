@@ -34,15 +34,15 @@ class TestCoefficientValues:
 
     @pytest.mark.parametrize("interp", ALL_PATHS, ids=PATH_KINDS)
     def test_exact_boundary_conditions(self, interp):
-        assert float(interp.alpha(0.0)) == 0.0
+        assert float(interp.coefficients(0.0)[0]) == 0.0
         assert float(interp.sigma(0.0)) == 1.0
-        assert float(interp.alpha(1.0)) == 1.0
+        assert float(interp.coefficients(1.0)[0]) == 1.0
         assert float(interp.sigma(1.0)) == 0.0
 
     @pytest.mark.parametrize("interp", ALL_PATHS, ids=PATH_KINDS)
     def test_monotone_coefficients(self, interp):
         t = np.linspace(0.0, 1.0, 501)
-        assert np.all(np.diff(interp.alpha(t)) >= 0.0)
+        assert np.all(np.diff(interp.coefficients(t)[0]) >= 0.0)
         assert np.all(np.diff(interp.sigma(t)) <= 0.0)
 
     def test_domain_errors(self):
@@ -65,7 +65,7 @@ class TestDerivativeConsistency:
     @pytest.mark.parametrize("interp", ALL_PATHS, ids=PATH_KINDS)
     def test_coefficient_derivatives(self, interp):
         t = np.linspace(0.01, 0.99, 197)
-        fd_a = central_difference(interp.alpha, t)
+        fd_a = central_difference(lambda t: interp.coefficients(t)[0], t)
         fd_s = central_difference(interp.sigma, t)
         np.testing.assert_allclose(interp.d_alpha(t), fd_a, rtol=1e-5, atol=1e-9)
         np.testing.assert_allclose(interp.d_sigma(t), fd_s, rtol=1e-5, atol=1e-9)
@@ -131,7 +131,7 @@ class TestVpPathShape:
     def test_alpha_strictly_increasing_and_convexish(self):
         p = VpPath()
         t = np.linspace(0.0, 1.0, 1001)
-        a = p.alpha(t)
+        a = p.coefficients(t)[0]
         assert np.all(np.diff(a) > 0.0)
         assert a[500] < 0.5  # mass stays near zero until late times
 
@@ -142,12 +142,12 @@ class TestVpPathShape:
         # the product sigma * d_sigma approaches -alpha * d_alpha near t=1
         t = 1.0 - 1e-9
         prod = float(p.sigma(t) * p.d_sigma(t))
-        np.testing.assert_allclose(prod, -float(p.alpha(t) * p.d_alpha(t)), rtol=1e-12)
+        np.testing.assert_allclose(prod, -float(p.coefficients(t)[0] * p.d_alpha(t)), rtol=1e-12)
 
     def test_variance_preserving(self):
         p = VpPath()
         t = np.linspace(0.0, 1.0, 101)
-        np.testing.assert_allclose(p.alpha(t) ** 2 + p.sigma(t) ** 2, 1.0, atol=1e-14)
+        np.testing.assert_allclose(p.coefficients(t)[0] ** 2 + p.sigma(t) ** 2, 1.0, atol=1e-14)
 
 
 def _reference_coefficients(kind, t):
@@ -191,7 +191,7 @@ class TestTimeCheckedOnce:
         want = _reference_coefficients(kind, t)
         for got, ref in zip(interp.coefficients(t), want):
             _assert_same_bits(got, ref)
-        for name, ref in zip(("alpha", "sigma", "d_alpha", "d_sigma"), want):
+        for name, ref in zip(("sigma", "d_alpha", "d_sigma"), want[1:]):
             _assert_same_bits(getattr(interp, name)(t), ref)
 
     @pytest.mark.parametrize("kind", PATH_KINDS)
@@ -216,8 +216,7 @@ class TestTimeCheckedOnce:
     def test_every_public_method_rejects_bad_times(self, kind, t):
         interp = make_interpolant(kind)
         x = np.zeros((np.size(t), 3))
-        calls = [getattr(interp, name) for name in ("alpha", "sigma", "d_alpha", "d_sigma",
-                                                     "coefficients")]
+        calls = [getattr(interp, name) for name in ("sigma", "d_alpha", "d_sigma", "coefficients")]
         calls += [lambda t: interp.sample_xt(x, x, t), lambda t: interp.target_velocity(x, x, t)]
         for call in calls:
             with pytest.raises(ConfigError):   # a ValueError, exit 2 on the command line

@@ -130,6 +130,14 @@ class TestScaleSchedule:
 
 
 class TestScaledVelocity:
+    def test_returns_the_field_output_and_gamma(self):
+        """The field's own array, unscaled, and gamma(t) of the schedule given."""
+        sched = ScaleSchedule("linear", 1.1, 1.0)
+        v = np.arange(6.0).reshape(3, 2)
+        out, gamma = scaled_velocity(lambda x, t: v, sched, v, 0.5)
+        assert out is v
+        assert gamma == float(sched.gamma(0.5)) and type(gamma) is float
+
     def test_literal_per_call_scaling(self):
         """The applied velocity is exactly gamma(t) * v, elementwise."""
         sched = ScaleSchedule("linear", 1.1, 1.0)
@@ -137,9 +145,9 @@ class TestScaledVelocity:
         x = rng.standard_normal((32, 8))
         field = lambda x, t: np.sin(x) + t
         for t in (0.0, 0.3, 0.7, 1.0):
-            v = field(x, t)
-            v_hat = scaled_velocity(field, sched, x, t)
-            np.testing.assert_array_equal(v_hat, float(sched.gamma(t)) * v)
+            v, gamma = scaled_velocity(field, sched, x, t)
+            v_hat = gamma * v
+            np.testing.assert_array_equal(v_hat, float(sched.gamma(t)) * field(x, t))
             # norm homogeneity holds to rounding of the norm itself
             np.testing.assert_allclose(np.linalg.norm(v_hat, axis=1),
                                        float(sched.gamma(t)) * np.linalg.norm(v, axis=1),
@@ -152,14 +160,6 @@ class TestScaledVelocity:
         assert exc.value.t == 0.25
         assert exc.value.state_summary["n_bad"] == 4
         assert "returned 4 non-finite values at t=0.25 (max |x| 1)" in str(exc.value)
-
-    def test_no_schedule_returns_the_checked_field_output(self):
-        """schedule None is the steps' call: the field's own array, still checked for
-        finiteness, and no gamma is evaluated."""
-        v = np.arange(6.0).reshape(3, 2)
-        assert scaled_velocity(lambda x, t: v, None, v, 0.5) is v
-        with pytest.raises(NonFiniteVelocityError):
-            scaled_velocity(lambda x, t: np.full_like(x, np.inf), None, v, 0.5)
 
     @pytest.mark.parametrize("step", [euler_step, heun_step, em_step])
     def test_steps_evaluate_gamma_once_per_stage(self, step, monkeypatch):
