@@ -27,15 +27,15 @@ from typing import Callable
 import numpy as np
 
 from .datasets import GaussianData, make_dataset
-from .diagnostics import (REFERENCE_SAMPLES, FldReport, MomentStats, lag_improvement,
-                          norm_profile, reference_from_dataset, track_fld)
+from .diagnostics import (MomentStats, lag_improvement, norm_profile, reference_from_dataset,
+                          track_fld)
 from .errors import CheckFailedError, ConfigError
 from .gaussian_oracle import (conditional_pair_sample, cross_term_expectation, jensen_gap,
                               marginal_variance, require_n_mc, rho_statistics,
                               typical_shell_point, velocity_variance)
 from .interpolant import PATH_KINDS, make_interpolant
 from .nn import load_checkpoint
-from .reporting import read_csv, write_csv, write_manifest
+from .reporting import write_csv, write_manifest
 from .rng import rng_for
 from .schema import REQUIRED, Param, finite_float, params_of, validated
 from .solver import (IDENTITY_SCHEDULE, SOLVER_METHODS, ScaleSchedule, SolverSpec,
@@ -351,14 +351,20 @@ def _diagnose_norm(params, seed, out) -> int:
     return EXIT_OK
 
 
-def _diagnose_fld(params, seed, out) -> int:
-    traj = load_trajectory(params["traj"])
-    reference, ref_id = _reference(params["reference"], seed)
+def _scored(path, reference, ref_id):
+    """(track_fld report, node shape (particles, dimension)) of the trajectory file at
+    ``path``; ConfigError if its dimension is not the reference's."""
+    traj = load_trajectory(path)
     n, dim = traj.states.shape
     if dim != reference.dim:
-        raise ConfigError(f"trajectory {params['traj']} has dimension {dim}, "
+        raise ConfigError(f"trajectory {path} has dimension {dim}, "
                           f"but the reference {ref_id} has dimension {reference.dim}")
-    report = track_fld(traj, reference, reference_id=ref_id)
+    return track_fld(traj, reference, reference_id=ref_id), (n, dim)
+
+
+def _diagnose_fld(params, seed, out) -> int:
+    reference, ref_id = _reference(params["reference"], seed)
+    report, (n, dim) = _scored(params["traj"], reference, ref_id)
     # sampling floor: n reference draws scored as the nodes are; an empirical reference,
     # fit on k draws, carries sampling noise, so they meet a fresh fit on k draws
     k, chol = reference.n_samples, np.linalg.cholesky(reference.cov + 1e-12 * np.eye(dim))
@@ -370,37 +376,14 @@ def _diagnose_fld(params, seed, out) -> int:
     return EXIT_OK
 
 
-def _fld_report(path) -> FldReport:
-    """The 'diagnose fld' report at ``path``, against the reference its manifest <path>.json
-    resolves; ConfigError if that is missing, unreadable or not a current 'diagnose fld' one."""
-    try:
-        manifest = json.loads(Path(f"{path}.json").read_text())
-        config = manifest["config"]
-        if manifest["experiment"] != "diagnose-fld" or config.get(
-                "reference_samples", REFERENCE_SAMPLES) != REFERENCE_SAMPLES:
-            raise ValueError(f"not a 'diagnose fld' manifest of {REFERENCE_SAMPLES} draws")
-        _, reference_id = _reference(config["reference"], manifest["seed"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{path} needs the 'diagnose fld' manifest {path}.json, "
-                          f"resolving its reference: {type(exc).__name__}: {exc}") from None
-    _, rows = read_csv(path)
-    try:
-        if any(len(r) < 2 for r in rows):
-            raise ValueError("a row has no distance column")
-        return FldReport(times=tuple(float(r[0]) for r in rows),
-                         values=np.array([float(r[1]) for r in rows]), reference_id=reference_id)
-    except ValueError as exc:   # a malformed file: exit 4, naming it
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _diagnose_lag(params, seed, out) -> int:
+    reference, ref_id = _reference(params["reference"], seed)
     paths = (params["baseline"], params["corrected"])
-    reports = [_fld_report(path) for path in paths]
+    reports = [_scored(path, reference, ref_id)[0] for path in paths]
     try:
         deltas = lag_improvement(*reports)
     except ValueError as exc:
-        raise ConfigError(f"cannot compare {paths[0]} and {paths[1]} (by their manifests "
-                          f"{paths[0]}.json and {paths[1]}.json): {exc}") from None
+        raise ConfigError(f"cannot compare {paths[0]} and {paths[1]}: {exc}") from None
     _report(out, ("t", "value"), list(zip(reports[0].times, deltas)))
     return EXIT_OK
 
@@ -505,6 +488,7 @@ _DIM = Param("dim", int)
 _DATA_STD = Param("data_std", float, 1.0)
 _N_MC = Param("n_mc", int, 100_000)
 _PATH = Param("path", str, "linear", choices=PATH_KINDS)
+_REFERENCE = Param("reference", str, help="'gaussian:DIM:STD' or a dataset JSON block")
 
 EXPERIMENTS = {exp.name: exp for exp in (
     Experiment("train", "train a velocity network from a JSON config", _train,
@@ -526,10 +510,10 @@ EXPERIMENTS = {exp.name: exp for exp in (
         _CHECKPOINT, Param("grid", str, "0.05:0.95:19", help="start:stop:count"),
         Param("samples", int, 4096))),
     Experiment("diagnose-fld", "distance to target at trajectory checkpoints", _diagnose_fld, (
-        Param("traj", str),
-        Param("reference", str, help="'gaussian:DIM:STD' or a dataset JSON block"))),
-    Experiment("diagnose-lag", "relative improvement between two FLD reports", _diagnose_lag,
-               (Param("baseline", str), Param("corrected", str)), seeded=False),
+        Param("traj", str), _REFERENCE)),
+    Experiment("diagnose-lag", "relative distance improvement of a corrected trajectory "
+               "over a baseline", _diagnose_lag, (
+        Param("baseline", str), Param("corrected", str), _REFERENCE)),
     # calls the module attribute, so a wrapper installed on cli.run_lag_sweep sees each sweep
     Experiment("lag-sweep", "terminal-distance sweep over injection scales",
                lambda params, seed, out: run_lag_sweep(params, seed, out), (

@@ -132,8 +132,9 @@ class VpPath(Interpolant):
         u = 1.0 - t
         raw = np.exp(-0.25 * VP_A * u * u - 0.5 * VP_B * u)
         a = (raw - _VP_E0) / (1.0 - _VP_E0)
-        s = np.sqrt(np.maximum(1.0 - a * a, 0.0))
         da = raw * (0.5 * VP_A * u + 0.5 * VP_B) / (1.0 - _VP_E0)
+        del u, raw   # freed before s and ds are formed, which lowers the call's peak memory
+        s = np.sqrt(np.maximum(1.0 - a * a, 0.0))
         ds = np.where(s > 0.0, -a * da / np.where(s > 0.0, s, 1.0), 0.0)
         return a, s, da, ds
 

@@ -134,11 +134,6 @@ class TrainConfig:
             raise ConfigError("profile_every must be nonnegative and lam0 finite and nonnegative")
         self.hidden = tuple(self.hidden)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
-
 
 @dataclass
 class TrainResult:
@@ -204,7 +199,7 @@ def train(config: TrainConfig, out_dir=None) -> TrainResult:
         write_csv(out_dir / "loss.csv", ("step", "fm_term", "magnitude_term", "total"), history)
         checkpoint_path = out_dir / "checkpoint.npz"
         save_checkpoint(checkpoint_path, net, opt, rng=batch_rng, step=config.steps,
-                        extra={"train_config": config.to_dict()})
+                        extra={"train_config": asdict(config)})
     return TrainResult(net=net, optimizer=opt, history=history, config=config,
                        checkpoint_path=checkpoint_path)
 

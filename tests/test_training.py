@@ -7,7 +7,7 @@ import pytest
 
 from flowlag.errors import ConfigError, TrainingDivergedError
 from flowlag.interpolant import LinearPath, make_interpolant
-from flowlag.nn import Mlp
+from flowlag.nn import Mlp, load_checkpoint
 from flowlag.solver import SCHEDULE_SHAPES
 from flowlag.training import (
     TRAIN_CHOICES,
@@ -226,12 +226,15 @@ class TestSampleBatch:
 
 
 class TestTrainConfig:
-    def test_round_trip(self):
-        """A JSON list for hidden is kept as a tuple and written back as a list."""
+    def test_round_trip(self, tmp_path):
+        """A JSON list for hidden is kept as a tuple, and a checkpoint's train config
+        writes it back as a list that rebuilds the same config."""
         cfg = TrainConfig(dataset={"kind": "gaussian", "dim": 4}, steps=10, hidden=[8, 8])
         assert cfg.hidden == (8, 8)
-        assert cfg.to_dict()["hidden"] == [8, 8]
-        assert TrainConfig(**cfg.to_dict()) == cfg
+        written = load_checkpoint(train(cfg, out_dir=tmp_path).checkpoint_path) \
+            .extra["train_config"]
+        assert written["hidden"] == [8, 8]
+        assert TrainConfig(**written) == cfg
 
     def test_field_validation(self):
         base = {"kind": "gaussian", "dim": 4}
