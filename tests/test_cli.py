@@ -323,6 +323,33 @@ class TestDiagnoseCommands:
         assert "dimension 4" in err and "dimension 8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("wide", ["baseline", "corrected"])
+    def test_lag_refuses_either_trajectory_of_another_dimension(self, fld_inputs, tmp_path,
+                                                                capsys, wide):
+        """Each trajectory is checked against the reference, not only the first."""
+        paths = {"baseline": fld_inputs[0], "corrected": fld_inputs[1]}
+        paths[wide] = tmp_path / "wide.bin"
+        rng = np.random.default_rng(0)
+        save_trajectory(paths[wide], Trajectory((0.5, 1.0), [
+            rng.standard_normal((64, 8)) for _ in range(2)]))
+        out = tmp_path / "lag.csv"
+        assert run_cli("diagnose", "lag", "--baseline", str(paths["baseline"]),
+                       "--corrected", str(paths["corrected"]), "--reference", "gaussian:4:1.0",
+                       "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{paths[wide]} has dimension 8" in err and "dimension 4" in err
+        assert not out.exists()
+
+    def test_lag_of_a_trajectory_against_itself_is_zero(self, fld_inputs, tmp_path):
+        """The same file as baseline and corrected improves by exactly 0 at every node."""
+        out = tmp_path / "lag.csv"
+        assert run_cli("diagnose", "lag", "--baseline", fld_inputs[1], "--corrected",
+                       fld_inputs[1], "--reference", "gaussian:4:1.0",
+                       "--out", str(out)) == EXIT_OK
+        _, rows = read_csv(out)
+        assert [float(t) for t, _ in rows] == list(load_trajectory(fld_inputs[1]).node_times)
+        assert [float(v) for _, v in rows] == [0.0] * len(rows)
+
     @pytest.mark.parametrize("fault", ["trailing bytes", "zero nodes", "non-finite states",
                                        "infinite states", "decreasing node times"])
     def test_fld_of_a_malformed_trajectory_exits_4(self, fld_inputs, tmp_path, capsys, fault):
@@ -349,23 +376,25 @@ class TestDiagnoseCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("how", ["truncated", "appended", "replaced"])
-    @pytest.mark.parametrize("command", ["fld", "lag"])
+    @pytest.mark.parametrize("changed", ["fld", "lag-baseline", "lag-corrected"])
     def test_fld_of_a_trajectory_changed_while_read_exits_4(self, fld_inputs, tmp_path, capsys,
-                                                             monkeypatch, change_file, command,
+                                                             monkeypatch, change_file, changed,
                                                              how):
-        traj, out = tmp_path / "traj.bin", tmp_path / "out.csv"
-        traj.write_bytes(Path(fld_inputs[0]).read_bytes())
-        corrected = tmp_path / "corr.bin"   # a copy, so no fixture file is changed
-        corrected.write_bytes(Path(fld_inputs[1]).read_bytes())
+        """Only the named input changes after it is loaded; the other stays intact."""
+        base, corr = tmp_path / "base.bin", tmp_path / "corr.bin"   # copies of the fixtures
+        base.write_bytes(Path(fld_inputs[0]).read_bytes())
+        corr.write_bytes(Path(fld_inputs[1]).read_bytes())
+        traj, out = (corr if changed == "lag-corrected" else base), tmp_path / "out.csv"
 
         def load_then_change(path):
             loaded = load_trajectory(path)
-            change_file(path, how)
+            if str(path) == str(traj):
+                change_file(path, how)
             return loaded
 
         monkeypatch.setattr(cli, "load_trajectory", load_then_change)
-        inputs = (["--traj", str(traj)] if command == "fld"
-                  else ["--baseline", str(traj), "--corrected", str(corrected)])
+        command, inputs = (("fld", ["--traj", str(traj)]) if changed == "fld"
+                           else ("lag", ["--baseline", str(base), "--corrected", str(corr)]))
         assert run_cli("diagnose", command, *inputs, "--reference", "gaussian:4:1.0",
                        "--out", str(out)) == EXIT_RUNTIME
         assert f"{traj} changed since it was loaded" in capsys.readouterr().err
