@@ -36,12 +36,13 @@ class GaussianData:
 
 
 class GaussianMixtureData:
-    """Equal-weight isotropic mixture; component means are centered exactly."""
+    """Equal-weight isotropic mixture; component means are drawn from layout seed 0
+    and centered exactly."""
 
     kind = "gaussian-mixture"
 
     def __init__(self, dim: int, components: int = 4, spread: float = 2.0,
-                 component_std: float = 0.5, layout_seed: int = 0):
+                 component_std: float = 0.5):
         if dim < 1:
             raise ConfigError(f"mixture dim must be >= 1, got {dim}")
         if components < 2:
@@ -49,8 +50,7 @@ class GaussianMixtureData:
         self.dim = int(dim)
         self.components = int(components)
         self.component_std = float(component_std)
-        layout_rng = np.random.default_rng(layout_seed)
-        means = spread * layout_rng.standard_normal((components, dim))
+        means = spread * np.random.default_rng(0).standard_normal((components, dim))
         self.means = means - means.mean(axis=0)  # exact zero mixture mean
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,16 +26,15 @@ _FORWARD_ROWS, _ROW_GRAIN = 1024, 64
 class TimeEmbedding:
     """Sinusoidal features of scalar time: [sin(w_i t), cos(w_i t)].
 
-    Frequencies are a geometric ladder w_i = base * 2^i, giving the
+    Frequencies are the geometric ladder w_i = pi * 2^i, giving the
     network multi-resolution access to t on [0, 1].
     """
 
-    def __init__(self, n_pairs: int = 8, base_freq: float = np.pi):
+    def __init__(self, n_pairs: int = 8):
         if n_pairs < 1:
             raise ValueError("need at least one frequency pair")
         self.n_pairs = int(n_pairs)
-        self.base_freq = float(base_freq)
-        self._freqs = self.base_freq * (2.0 ** np.arange(self.n_pairs))
+        self._freqs = np.pi * (2.0 ** np.arange(self.n_pairs))
 
     @property
     def width(self) -> int:
@@ -81,7 +81,6 @@ class Mlp:
     """
 
     dim: int
-    hidden: tuple
     weights: list
     biases: list
     time_embedding: TimeEmbedding
@@ -102,9 +101,8 @@ class Mlp:
             bound = np.sqrt(6.0 / (n_in + n_out))
             weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)).astype(dtype))
             biases.append(np.zeros(n_out, dtype=dtype))
-        return cls(dim=dim, hidden=tuple(hidden), weights=weights, biases=biases,
-                   time_embedding=temb, skip=np.zeros(1 + temb.width, dtype=dtype),
-                   dtype=np.dtype(dtype))
+        return cls(dim=dim, weights=weights, biases=biases, time_embedding=temb,
+                   skip=np.zeros(1 + temb.width, dtype=dtype), dtype=np.dtype(dtype))
 
     # -- parameter access ------------------------------------------------
 
@@ -211,12 +209,13 @@ class Mlp:
 
 @dataclass
 class Adam:
-    """Adaptive-moment optimizer with bias correction."""
+    """Adaptive-moment optimizer with bias correction; beta1 = 0.9, beta2 = 0.999 and
+    eps = 1e-8 are constants."""
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -243,8 +242,7 @@ class Adam:
 
     def state_dict(self) -> dict:
         return {
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "step_count": self.step_count,
+            "lr": self.lr, "step_count": self.step_count,
             "m": {k: a.copy() for k, a in self.m.items()},
             "v": {k: a.copy() for k, a in self.v.items()},
         }
@@ -266,22 +264,12 @@ def save_checkpoint(path, net: Mlp, optimizer: Adam | None = None,
                     rng: np.random.Generator | None = None, step: int = 0,
                     extra: dict | None = None) -> None:
     """Write a single-file checkpoint (npz) with exact float round-trip."""
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "dim": net.dim,
-        "hidden": list(net.hidden),
-        "n_time_pairs": net.time_embedding.n_pairs,
-        "time_base_freq": net.time_embedding.base_freq,
-        "dtype": np.dtype(net.dtype).name,
-        "step": int(step),
-        "rng_state": rng.bit_generator.state if rng is not None else None,
-        "extra": extra or {},
-        "has_optimizer": optimizer is not None,
-    }
+    meta = {"version": CHECKPOINT_VERSION, "step": int(step),
+            "rng_state": rng.bit_generator.state if rng is not None else None,
+            "extra": extra or {}}
     arrays = {f"param_{k}": p for k, p in net.parameters().items()}
     if optimizer is not None:
-        meta["optimizer"] = {k: getattr(optimizer, k)
-                             for k in ("lr", "beta1", "beta2", "eps", "step_count")}
+        meta["optimizer"] = {"lr": optimizer.lr, "step_count": optimizer.step_count}
         arrays.update({f"adam_m_{k}": a for k, a in optimizer.m.items()})
         arrays.update({f"adam_v_{k}": a for k, a in optimizer.v.items()})
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -289,23 +277,33 @@ def save_checkpoint(path, net: Mlp, optimizer: Adam | None = None,
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint.  The net's depth and widths come from its ``param_W*`` arrays,
+    its state dimension from the last one, its time embedding from ``param_skip``
+    (1 + 2 * n_pairs entries) and its dtype from the arrays, which must share one."""
+    name = getattr(path, "name", path)
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+        try:
+            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+        except ValueError as exc:   # not JSON or not UTF-8
+            raise ValueError(f"checkpoint {name} has unreadable meta_json: {exc}") from None
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}; "
                              f"this build reads version {CHECKPOINT_VERSION}")
-        dtype = np.dtype(meta["dtype"])
-        temb = TimeEmbedding(n_pairs=meta["n_time_pairs"], base_freq=meta["time_base_freq"])
-        n_layers = len(meta["hidden"]) + 1
-        weights = [np.asarray(data[f"param_W{i}"], dtype=dtype) for i in range(n_layers)]
-        biases = [np.asarray(data[f"param_b{i}"], dtype=dtype) for i in range(n_layers)]
-        net = Mlp(dim=meta["dim"], hidden=tuple(meta["hidden"]), weights=weights,
-                  biases=biases, time_embedding=temb,
-                  skip=np.asarray(data["param_skip"], dtype=dtype), dtype=dtype)
+        n_layers = sum(k.startswith("param_W") for k in data.files)
+        weights = [data[f"param_W{i}"] for i in range(n_layers)]
+        biases = [data[f"param_b{i}"] for i in range(n_layers)]
+        skip = data["param_skip"]
+        dtypes = {a.dtype for a in (*weights, *biases, skip)}
+        if len(dtypes) != 1:
+            raise ValueError(f"checkpoint {name} mixes parameter dtypes "
+                             f"{sorted(d.name for d in dtypes)}")
+        net = Mlp(dim=weights[-1].shape[1], weights=weights, biases=biases,
+                  time_embedding=TimeEmbedding((len(skip) - 1) // 2), skip=skip,
+                  dtype=dtypes.pop())
         optimizer = None
-        if meta["has_optimizer"]:
+        if "optimizer" in meta:
             optimizer = Adam(
-                **meta["optimizer"],
+                lr=meta["optimizer"]["lr"], step_count=meta["optimizer"]["step_count"],
                 m={k[len("adam_m_"):]: data[k] for k in data.files if k.startswith("adam_m_")},
                 v={k[len("adam_v_"):]: data[k] for k in data.files if k.startswith("adam_v_")})
     return Checkpoint(net=net, optimizer=optimizer, rng_state=meta["rng_state"],

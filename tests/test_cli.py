@@ -151,6 +151,73 @@ class TestTrainAndSample:
         assert code == 4
         assert not (tmp_path / "traj.bin").exists()
 
+    @pytest.mark.parametrize("command", [["sample", "--nfe", "2", "--particles", "8"],
+                                         ["lag-sweep", "--nfe", "2", "--particles", "8",
+                                          "--floor-nfe", "4"],
+                                         ["diagnose", "norm", "--samples", "8"]],
+                             ids=["sample", "lag-sweep", "diagnose-norm"])
+    def test_unreadable_meta_exits_4_naming_the_file(self, tiny_run, tmp_path, capsys, command):
+        """meta_json that is not JSON makes a bad checkpoint (exit 4), not a bad config."""
+        with np.load(tiny_run.checkpoint_path) as data:
+            arrays = dict(data)
+        arrays["meta_json"] = np.frombuffer(b"{not json", dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        assert run_cli(*command, "--checkpoint", str(bad),
+                       "--out", str(tmp_path / "out")) == EXIT_RUNTIME
+        assert f"checkpoint {bad} has unreadable meta_json" in capsys.readouterr().err
+
+    def test_mixed_parameter_dtypes_exit_4_naming_the_file(self, tiny_run, tmp_path, capsys):
+        """The arrays set the net's dtype, so one float32 weight in a float64 net is refused
+        rather than run in mixed precision."""
+        with np.load(tiny_run.checkpoint_path) as data:
+            arrays = dict(data)
+        assert arrays["param_W0"].dtype == np.float64
+        arrays["param_W1"] = arrays["param_W1"].astype(np.float32)
+        bad = tmp_path / "mixed.npz"
+        np.savez(bad, **arrays)
+        assert run_cli("sample", "--checkpoint", str(bad), "--nfe", "2", "--particles", "8",
+                       "--out", str(tmp_path / "traj.bin")) == EXIT_RUNTIME
+        assert f"checkpoint {bad} mixes parameter dtypes ['float32', 'float64']" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "traj.bin").exists()
+
+    def test_file_that_also_records_the_architecture_loads_the_same(self, tiny_run, tmp_path):
+        """A version-2 file whose meta also holds the net's shape, dtype, time base frequency,
+        has_optimizer and Adam's beta1/beta2/eps, as earlier builds wrote it, loads to a net
+        and optimizer bit-equal to the file without them and samples the same trajectory."""
+        with np.load(tiny_run.checkpoint_path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+        train_config = meta["extra"]["train_config"]
+        earlier = {"version": 2, "dim": 4, "hidden": train_config["hidden"],
+                   "n_time_pairs": train_config["n_time_pairs"], "time_base_freq": np.pi,
+                   "dtype": "float64", "step": meta["step"], "rng_state": meta["rng_state"],
+                   "extra": meta["extra"], "has_optimizer": True,
+                   "optimizer": {"lr": meta["optimizer"]["lr"], "beta1": 0.9, "beta2": 0.999,
+                                 "eps": 1e-8, "step_count": meta["optimizer"]["step_count"]}}
+        arrays["meta_json"] = np.frombuffer(json.dumps(earlier).encode("utf-8"), dtype=np.uint8)
+        old = tmp_path / "earlier.npz"
+        np.savez(old, **arrays)
+        new, got = load_checkpoint(tiny_run.checkpoint_path), load_checkpoint(old)
+        assert (got.step, got.rng_state, got.extra) == (new.step, new.rng_state, new.extra)
+        assert (got.net.dim, got.net.dtype, got.net.time_embedding.n_pairs) == \
+            (new.net.dim, new.net.dtype, new.net.time_embedding.n_pairs)
+        assert (got.optimizer.lr, got.optimizer.step_count) == \
+            (new.optimizer.lr, new.optimizer.step_count)
+        pairs = [(got.net.parameters(), new.net.parameters()),
+                 (got.optimizer.m, new.optimizer.m), (got.optimizer.v, new.optimizer.v)]
+        for have, want in pairs:
+            assert have.keys() == want.keys()
+            for k in want:
+                assert (have[k].dtype, have[k].shape) == (want[k].dtype, want[k].shape)
+                assert have[k].tobytes() == want[k].tobytes()
+        for name, checkpoint in (("new", tiny_run.checkpoint_path), ("old", old)):
+            assert run_cli("sample", "--checkpoint", str(checkpoint), "--nfe", "5",
+                           "--method", "euler-maruyama", "--particles", "64", "--seed", "4",
+                           "--out", str(tmp_path / f"{name}.bin")) == EXIT_OK
+        assert (tmp_path / "old.bin").read_bytes() == (tmp_path / "new.bin").read_bytes()
+
     def test_bad_train_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"dataset": {"kind": "gaussian", "dim": 4},
@@ -636,7 +703,7 @@ class TestFloorMemo:
         """A floor that raises NonFiniteVelocityError exits 4 and leaves the memo empty."""
         path = tmp_path / "nan.npz"
         ck = load_checkpoint(tiny_run.checkpoint_path)
-        ck.net.parameters()[f"b{len(ck.net.hidden)}"][0] = np.nan
+        ck.net.parameters()[f"b{len(ck.net.weights) - 1}"][0] = np.nan
         save_checkpoint(path, ck.net, extra=ck.extra)
         assert run_cli("lag-sweep", "--checkpoint", str(path), *self.BASE,
                        "--out", str(tmp_path / "s")) == EXIT_RUNTIME

@@ -98,6 +98,7 @@ class TestMakeDataset:
                                        {"kind": "gaussian", "dim": 4, "std": "2"},
                                        {"kind": "two-moons", "noise": "0.1"},
                                        {"kind": "gaussian-mixture", "dim": 0},
+                                       {"kind": "gaussian-mixture", "dim": 4, "layout_seed": 1},
                                        {"kind": "checkerboard", "dim": 2},
                                        {"kind": ["gaussian"], "dim": 4}])
     def test_ill_typed_or_out_of_range_field_rejected(self, block):

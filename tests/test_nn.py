@@ -1,5 +1,6 @@
 """Network forward/backward correctness, optimizer behavior, checkpoint round-trips."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,11 @@ def numerical_param_gradient(net, loss_fn, key, idx, eps=1e-6):
     down = loss_fn()
     p.flat[idx] = orig
     return (up - down) / (2.0 * eps)
+
+
+def _meta(path) -> dict:
+    with np.load(path) as data:
+        return json.loads(bytes(data["meta_json"]).decode("utf-8"))
 
 
 def _generator(state: dict) -> np.random.Generator:
@@ -335,6 +341,9 @@ class TestCheckpoint:
 
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, net, opt, rng=rng, step=5, extra={"note": "mid"})
+        meta = _meta(path)
+        assert meta.keys() == {"version", "step", "rng_state", "extra", "optimizer"}
+        assert meta["optimizer"] == {"lr": 1e-2, "step_count": 5}
         self._train_a_bit(net, opt, rng, 3)
         reference = {k: p.copy() for k, p in net.parameters().items()}
 
@@ -350,6 +359,7 @@ class TestCheckpoint:
         net = Mlp.create(dim=2, hidden=(4, 4), rng=np.random.default_rng(18))
         path = tmp_path / "net.npz"
         save_checkpoint(path, net)
+        assert _meta(path).keys() == {"version", "step", "rng_state", "extra"}
         ck = load_checkpoint(path)
         assert ck.optimizer is None
         x = np.random.default_rng(19).standard_normal((5, 2))
